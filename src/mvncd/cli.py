@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 import mvncd
-from mvncd import oracle
 from mvncd.dataset import (
     DatasetError,
     SyntheticSpec,
@@ -29,8 +28,7 @@ from mvncd.dataset import (
     write_dataset,
 )
 from mvncd.metrics import clustering_accuracy, nmi, purity
-from mvncd import solver
-from mvncd.solver import SolverConfig, fit, is_monotone
+from mvncd.solver import FitResult, SolverConfig, fit, is_monotone
 
 SCHEMA_VERSION = 1
 EXIT_OK = 0
@@ -93,10 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--assignment", required=True,
                     help="CSV with one cluster id per unlabeled sample")
     ev.set_defaults(func=cmd_eval)
-
-    verify = sub.add_parser("verify")
-    verify.add_argument("--seed", type=int, default=0)
-    verify.set_defaults(func=cmd_verify)
     return parser
 
 
@@ -144,7 +138,7 @@ def _config_from_args(args, lambda1: float, lambda2: float) -> SolverConfig:
     )
 
 
-def _execute(ds, cfg) -> tuple[dict, "solver.FitResult"]:
+def _execute(ds, cfg) -> tuple[dict, FitResult]:
     result = fit(ds, cfg)
     truth = ds.labels[ds.unlabeled_indices]
     pred = result.novel_assignment
@@ -180,7 +174,7 @@ def cmd_run(args) -> int:
     ds = load_dataset(args.data, known_classes=args.known_classes)
     cfg = _config_from_args(args, args.lambda1, args.lambda2)
     report, result = _execute(ds, cfg)
-    if not _descent_ok(result):
+    if not is_monotone(result.objective_trace):
         print("error: objective trace is not monotonically non-increasing; "
               "refusing to write a report", file=sys.stderr)
         return EXIT_INVARIANT
@@ -194,14 +188,6 @@ def cmd_run(args) -> int:
           f"iterations={report['iterations']} converged={report['converged']}")
     print(f"report written to {out / 'report.json'}")
     return EXIT_OK
-
-
-def _descent_ok(result) -> bool:
-    if not is_monotone(result.objective_trace):
-        return False
-    if result.block_objective_trace is not None:
-        return is_monotone(result.block_objective_trace)
-    return True
 
 
 def _trace_csv(result) -> str:
@@ -226,7 +212,7 @@ def cmd_sweep(args) -> int:
         try:
             cfg = _config_from_args(args, l1, l2)
             report, result = _execute(ds, cfg)
-            if not _descent_ok(result):
+            if not is_monotone(result.objective_trace):
                 return cell, None, "error: non-monotone objective trace"
             return cell, report, "ok"
         except Exception as exc:  # record the failure, keep sweeping
@@ -309,161 +295,6 @@ def _write_atomic(path: Path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-# ---------------------------------------------------------------------------
-# verification suite (unadvertised subcommand)
-
-def cmd_verify(args) -> int:
-    checks = run_verification(seed=args.seed)
-    failed = [name for name, ok in checks if not ok]
-    for name, ok in checks:
-        print(f"{'ok' if ok else 'FAIL'}: {name}")
-    if failed:
-        print(f"{len(failed)} of {len(checks)} checks failed", file=sys.stderr)
-        return 1
-    print(f"all {len(checks)} checks passed")
-    return EXIT_OK
-
-
-def run_verification(seed: int = 0) -> list[tuple[str, bool]]:
-    """Certify the solver's fast paths against the oracle module."""
-    rng = np.random.default_rng(seed)
-    checks = [
-        ("labeled assignment updates match brute force (200 columns)",
-         _check_label_updates(rng, 200, labeled=True)),
-        ("unlabeled assignment updates match brute force (200 columns)",
-         _check_label_updates(rng, 200, labeled=False)),
-        ("assignment block matches exhaustive enumeration (40 instances)",
-         _check_exhaustive(rng, 40)),
-        ("view-weight update matches numeric simplex minimizer (100 draws)",
-         _check_view_weights(rng, 100)),
-        ("basis update passes the Procrustes bound (50 targets)",
-         _check_procrustes(rng, 50)),
-        ("fits descend monotonically per block (3 instances)",
-         _check_descent(rng, 3)),
-    ]
-    return checks
-
-
-def _random_tiny(rng, num_views=None, k=None, n=None):
-    num_views = num_views or int(rng.integers(1, 4))
-    k = k or int(rng.integers(2, 4))
-    n = n or int(rng.integers(2, 9))
-    d = int(rng.integers(k, k + 4))
-    xs = [rng.standard_normal((d, n)) for _ in range(num_views)]
-    bases = [np.linalg.qr(rng.standard_normal((d, k)))[0]
-             for _ in range(num_views)]
-    centroids = [rng.standard_normal((k, k)) for _ in range(num_views)]
-    weights = rng.dirichlet(np.ones(num_views))
-    state = solver.ModelState(bases=bases, centroids=centroids,
-                              y=rng.integers(0, k, size=n),
-                              view_weights=weights)
-    return state, xs
-
-
-def _check_label_updates(rng, total: int, labeled: bool) -> bool:
-    done = 0
-    while done < total:
-        state, xs = _random_tiny(rng)
-        k = state.num_classes
-        n = state.y.size
-        lam = float(rng.choice([0.0, 0.3, 1.0, 10.0]))
-        counts = rng.integers(0, 5, size=k).astype(float)
-        buffers = solver.make_buffers(state, xs, counts)
-        cols = np.arange(n)
-        if labeled:
-            truth = rng.integers(0, k, size=n)
-            solver.update_labels_known(state, buffers, cols, truth, lam)
-        else:
-            solver.update_labels_novel(state, buffers, cols, lam)
-        for i in range(n):
-            sample = [x[:, i] for x in xs]
-            if labeled:
-                expect = oracle.brute_force_label(
-                    sample, buffers.maps, state.view_weights,
-                    lambda1=lam, truth_row=int(truth[i]))
-            else:
-                expect = oracle.brute_force_label(
-                    sample, buffers.maps, state.view_weights,
-                    lambda2=lam, label_counts=counts)
-            if state.y[i] != expect:
-                return False
-            done += 1
-            if done >= total:
-                return True
-    return True
-
-
-def _check_exhaustive(rng, total: int) -> bool:
-    for _ in range(total):
-        state, xs = _random_tiny(rng, k=int(rng.integers(2, 4)),
-                                 n=int(rng.integers(2, 6)))
-        k = state.num_classes
-        counts = rng.integers(0, 4, size=k).astype(float)
-        lam = float(rng.choice([0.0, 0.5, 2.0]))
-        buffers = solver.make_buffers(state, xs, counts)
-        cols = np.arange(state.y.size)
-        solver.update_labels_novel(state, buffers, cols, lam)
-        best, _ = oracle.exhaustive_novel_fit(
-            xs, buffers.maps, state.view_weights, lam, counts)
-        fast_score = _novel_block_score(state.y, xs, buffers.maps,
-                                        state.view_weights, lam, counts)
-        best_score = _novel_block_score(best, xs, buffers.maps,
-                                        state.view_weights, lam, counts)
-        if fast_score > best_score + 1e-9 * (abs(best_score) + 1.0):
-            return False
-    return True
-
-
-def _novel_block_score(y, xs, maps, weights, lam, counts) -> float:
-    total = 0.0
-    for v, x in enumerate(xs):
-        diff = x - maps[v][:, y]
-        total += float(weights[v]) ** 2 * float(np.sum(diff * diff))
-    n_l = float(counts.sum())
-    total -= lam * 2.0 * (n_l * y.size - float(counts[y].sum()))
-    return total
-
-
-def _check_view_weights(rng, total: int) -> bool:
-    for _ in range(total):
-        num_views = int(rng.integers(1, 6))
-        residuals = rng.uniform(0.05, 20.0, size=num_views)
-        state, _ = _random_tiny(rng, num_views=num_views)
-        solver.update_view_weights(state, residuals)
-        numeric = oracle.simplex_minimize_numeric(residuals)
-        if np.max(np.abs(state.view_weights - numeric)) > 1e-6:
-            return False
-    return True
-
-
-def _check_procrustes(rng, total: int) -> bool:
-    for i in range(total):
-        state, xs = _random_tiny(rng)
-        solver.update_basis(state, xs)
-        ymat = state.y_matrix()
-        for v, x in enumerate(xs):
-            target = x @ ymat.T @ state.centroids[v].T
-            if not oracle.procrustes_bound_check(target, state.bases[v],
-                                                 draws=100, seed=i):
-                return False
-    return True
-
-
-def _check_descent(rng, total: int) -> bool:
-    for i in range(total):
-        spec = SyntheticSpec(views=2, classes=4, per_class=12,
-                             dims=6, separation=2.5, noise=1.0,
-                             seed=int(rng.integers(2**32)))
-        ds = generate_synthetic(spec)
-        cfg = SolverConfig(lambda1=1.0, lambda2=1.0, max_iter=30,
-                           seed=i, track_block_objective=True)
-        result = fit(ds, cfg)
-        if not (is_monotone(result.objective_trace)
-                and is_monotone(result.block_objective_trace)):
-            return False
-    return True
 
 
 if __name__ == "__main__":

@@ -210,17 +210,6 @@ def encode_onehot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return out
 
 
-def decode_onehot(onehot: np.ndarray) -> np.ndarray:
-    """Inverse of encode_onehot; rejects matrices that are not one-hot."""
-    onehot = np.asarray(onehot)
-    if onehot.ndim != 2:
-        raise DatasetError("one-hot matrix must be 2-d")
-    ok = np.all((onehot == 0) | (onehot == 1)) and np.all(onehot.sum(axis=0) == 1)
-    if not ok:
-        raise DatasetError("matrix is not one-hot (one 1 per column, rest 0)")
-    return np.argmax(onehot, axis=0)
-
-
 def unlabeled_subset(ds: MultiViewDataset) -> MultiViewDataset:
     """Restrict the dataset to its unlabeled samples (class split unchanged)."""
     cols = ds.unlabeled_indices

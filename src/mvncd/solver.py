@@ -91,21 +91,20 @@ class ModelState:
 
 @dataclass
 class WorkBuffers:
-    """Per-iteration quantities shared by the assignment updates.
+    """Per-iteration quantities shared by the assignment updates and the
+    reconstruction error.
 
-    ``maps[v]`` is basis @ centroids for view v; ``diag`` holds the
-    weight-combined squared norms of its columns and ``score`` the
-    weight-combined inner products with the data. ``label_counts`` counts
-    ground-truth labeled samples per one-hot row (zero on novel rows).
+    ``xs`` are the views and ``maps[v]`` is basis @ centroids for view v, so
+    view v reconstructs sample i as ``maps[v][:, y[i]]``. ``diag`` holds the
+    weight-combined squared norms of the columns of the maps and ``score``
+    the weight-combined inner products with the data. ``label_counts``
+    counts ground-truth labeled samples per one-hot row (zero on novel rows).
     """
 
+    xs: list[np.ndarray]
     maps: list[np.ndarray]
-    gram: list[np.ndarray]
-    proj: list[np.ndarray]
     diag: np.ndarray
     score: np.ndarray
-    xsq: np.ndarray
-    residuals: np.ndarray
     label_counts: np.ndarray
 
 
@@ -230,31 +229,31 @@ def update_centroids(state: ModelState, xs: list[np.ndarray],
 
 def make_buffers(state: ModelState, xs: list[np.ndarray],
                  label_counts: np.ndarray) -> WorkBuffers:
-    """Assemble the shared per-iteration quantities for the current state."""
+    """Assemble the shared per-iteration quantities for the current bases
+    and centroids; they stay valid while only ``y`` and the view weights
+    change."""
     w2 = state.view_weights**2
     maps = [state.bases[v] @ state.centroids[v] for v in range(state.num_views)]
-    gram = [m.T @ m for m in maps]
-    proj = [maps[v].T @ xs[v] for v in range(state.num_views)]
-    diag = sum(w2[v] * np.diag(gram[v]) for v in range(state.num_views))
-    score = sum(w2[v] * proj[v] for v in range(state.num_views))
-    xsq = np.array([float(np.sum(x * x)) for x in xs])
-    buffers = WorkBuffers(
-        maps=maps, gram=gram, proj=proj, diag=diag, score=score, xsq=xsq,
-        residuals=np.zeros(state.num_views),
-        label_counts=np.asarray(label_counts, dtype=float),
-    )
-    buffers.residuals = compute_residuals(buffers, state.y)
-    return buffers
+    diag = sum(w2[v] * np.einsum("ij,ij->j", m, m) for v, m in enumerate(maps))
+    score = sum(w2[v] * (m.T @ xs[v]) for v, m in enumerate(maps))
+    return WorkBuffers(xs=xs, maps=maps, diag=diag, score=score,
+                       label_counts=np.asarray(label_counts, dtype=float))
 
 
 def compute_residuals(buffers: WorkBuffers, y: np.ndarray) -> np.ndarray:
     """Per-view squared reconstruction error for assignment ``y``."""
-    cols = np.arange(y.size)
-    out = np.empty(len(buffers.maps))
-    for v in range(len(buffers.maps)):
-        fit_term = 2.0 * buffers.proj[v][y, cols].sum()
-        self_term = np.diag(buffers.gram[v])[y].sum()
-        out[v] = max(buffers.xsq[v] - fit_term + self_term, 0.0)
+    return _reconstruction_errors(buffers.xs, buffers.maps, y)
+
+
+def _reconstruction_errors(xs: list[np.ndarray], maps: list[np.ndarray],
+                           y: np.ndarray) -> np.ndarray:
+    """``||X_v - maps[v][:, y]||^2`` per view, summed literally: the one
+    formula behind the view-weight update and every objective value."""
+    out = np.empty(len(xs))
+    for v, x in enumerate(xs):
+        diff = maps[v][:, y]
+        diff -= x
+        out[v] = float(np.sum(np.square(diff, out=diff)))
     return out
 
 
@@ -312,13 +311,17 @@ def objective_value(state: ModelState, ds: MultiViewDataset,
     return _objective(state, _build_problem(ds, cfg), cfg)
 
 
-def _objective(state: ModelState, prob: _Problem, cfg: SolverConfig) -> float:
+def _objective(state: ModelState, prob: _Problem, cfg: SolverConfig,
+               residuals: np.ndarray | None = None) -> float:
+    """Objective of ``state``; ``residuals`` are its per-view reconstruction
+    errors when the caller already has them."""
+    if residuals is None:
+        maps = [b @ c for b, c in zip(state.bases, state.centroids)]
+        residuals = _reconstruction_errors(prob.xs, maps, state.y)
     w2 = state.view_weights**2
     total = 0.0
-    for v, x in enumerate(prob.xs):
-        recon = (state.bases[v] @ state.centroids[v])[:, state.y]
-        diff = x - recon
-        total += w2[v] * float(np.sum(diff * diff))
+    for v in range(len(prob.xs)):
+        total += w2[v] * float(residuals[v])
     mismatches = int(np.count_nonzero(state.y[prob.labeled] != prob.truth_rows))
     total += cfg.lambda1 * 2.0 * mismatches
     n_l = prob.labeled.size
@@ -371,7 +374,7 @@ def fit(ds: MultiViewDataset, cfg: SolverConfig) -> FitResult:
             block_trace.append(_objective(state, prob, cfg))
         residuals = compute_residuals(buffers, state.y)
         update_view_weights(state, residuals, cfg.ablate_alpha)
-        current = _objective(state, prob, cfg)
+        current = _objective(state, prob, cfg, residuals)
         if block_trace is not None:
             block_trace.append(current)
         trace.append(current)
@@ -400,20 +403,3 @@ def is_monotone(trace: list[float], slack: float = DESCENT_SLACK) -> bool:
         for i in range(len(trace) - 1)
     )
 
-
-def validate_state(state: ModelState, atol_basis: float = 1e-8,
-                   atol_simplex: float = 1e-10) -> None:
-    """Raise ValueError when a structural invariant is broken: orthonormal
-    bases, one-hot assignments in range, view weights on the simplex."""
-    k = state.num_classes
-    for v, basis in enumerate(state.bases):
-        gram = basis.T @ basis
-        if np.max(np.abs(gram - np.eye(k))) > atol_basis:
-            raise ValueError(f"view {v}: basis columns are not orthonormal")
-        if state.centroids[v].shape != (k, k):
-            raise ValueError(f"view {v}: centroids must be {k} x {k}")
-    if state.y.min() < 0 or state.y.max() >= k:
-        raise ValueError("assignment rows out of range")
-    w = state.view_weights
-    if w.min() < 0 or abs(float(w.sum()) - 1.0) > atol_simplex:
-        raise ValueError("view weights are not on the simplex")

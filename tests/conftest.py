@@ -1,6 +1,6 @@
 """Shared helpers: random problem instances, a naive objective recomputation
-that shares nothing with the solver's fast paths, and an in-process CLI
-driver."""
+that shares nothing with the solver's fast paths, a structural check on
+solver states, and an in-process CLI driver."""
 
 import contextlib
 import io
@@ -73,6 +73,23 @@ def naive_objective(state, ds, cfg):
         for j in work.unlabeled_indices:
             total -= cfg.lambda2 * float(np.sum((g - ymat[:, j]) ** 2))
     return total
+
+
+def validate_state(state, atol_basis=1e-8, atol_simplex=1e-10):
+    """Raise ValueError when a structural invariant is broken: orthonormal
+    bases, one-hot assignments in range, view weights on the simplex."""
+    k = state.num_classes
+    for v, basis in enumerate(state.bases):
+        gram = basis.T @ basis
+        if np.max(np.abs(gram - np.eye(k))) > atol_basis:
+            raise ValueError(f"view {v}: basis columns are not orthonormal")
+        if state.centroids[v].shape != (k, k):
+            raise ValueError(f"view {v}: centroids must be {k} x {k}")
+    if state.y.min() < 0 or state.y.max() >= k:
+        raise ValueError("assignment rows out of range")
+    w = state.view_weights
+    if w.min() < 0 or abs(float(w.sum()) - 1.0) > atol_simplex:
+        raise ValueError("view weights are not on the simplex")
 
 
 def run_cli(argv):

@@ -26,7 +26,7 @@ from mvncd.dataset import (
     load_dataset,
 )
 from mvncd.metrics import clustering_accuracy, nmi, purity
-from mvncd.oracle import (
+from oracle import (
     brute_force_label,
     exhaustive_novel_fit,
     simplex_minimize_numeric,

@@ -245,12 +245,3 @@ def test_eval_rejects_bad_assignment(tmp_path):
     code, _, _ = run_cli(["eval", "--data", str(FIXTURE_DIR),
                           "--assignment", str(tmp_path / "missing.csv")])
     assert code == 2
-
-
-# --- verify ---
-
-def test_verify_subcommand_passes():
-    code, stdout, _ = run_cli(["verify"])
-    assert code == 0
-    assert "all 6 checks passed" in stdout
-    assert "FAIL" not in stdout

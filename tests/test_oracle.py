@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mvncd.oracle import (
+from oracle import (
     brute_force_label,
     exhaustive_novel_fit,
     procrustes_bound_check,

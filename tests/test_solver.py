@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import naive_objective, random_dataset
+from conftest import naive_objective, random_dataset, validate_state
 
 from mvncd.dataset import (
     DatasetError,
@@ -24,7 +24,6 @@ from mvncd.solver import (
     update_labels_known,
     update_labels_novel,
     update_view_weights,
-    validate_state,
 )
 
 I2 = np.eye(2)
@@ -417,6 +416,25 @@ def test_fit_ablate_labeled_drops_both_penalty_terms():
     assert result.novel_assignment.size == ds.num_unlabeled
     # reconstruction is all that remains, so the objective is nonnegative
     assert all(v >= -1e-9 for v in result.objective_trace)
+
+
+def test_fit_weights_use_literal_residuals_on_near_noiseless_data():
+    # Residuals near 1e-9 sit many orders below the data's squared norm, so
+    # an expanded ||x||^2 - 2<x, m> + ||m||^2 form loses their significant
+    # digits here and collapses the weights onto one view.
+    ds = generate_synthetic(SyntheticSpec(views=2, classes=4, per_class=500,
+                                          dims=50, separation=200.0,
+                                          noise=1e-7, seed=0))
+    result = fit(ds, SolverConfig(normalize="none"))
+    state = result.state
+    r = np.array([
+        float(np.sum((view.data - (basis @ cent)[:, state.y]) ** 2))
+        for view, basis, cent in zip(ds.views, state.bases, state.centroids)
+    ])
+    assert np.all(r > 0)
+    expected = (1.0 / r) / np.sum(1.0 / r)
+    assert np.allclose(state.view_weights, expected, rtol=1e-6, atol=0)
+    assert is_monotone(result.objective_trace)
 
 
 def test_supervision_holds_overlapping_known_class():
