@@ -14,6 +14,9 @@ import numpy as np
 
 from mvncd.dataset import MultiViewDataset, normalize_features
 
+KMEANS_MAX_ITER = 300
+KMEANS_TOL = 1e-8  # stop once the inertia drops by no more than this
+
 
 @dataclass
 class KMeansResult:
@@ -24,8 +27,7 @@ class KMeansResult:
     inertia_trace: list[float] = field(default_factory=list)
 
 
-def kmeans_fit(points: np.ndarray, k: int, seed: int = 0,
-               max_iter: int = 300, tol: float = 1e-8) -> KMeansResult:
+def kmeans_fit(points: np.ndarray, k: int, seed: int = 0) -> KMeansResult:
     """Cluster the columns of ``points`` (d x n) into ``k`` groups."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
@@ -42,7 +44,7 @@ def kmeans_fit(points: np.ndarray, k: int, seed: int = 0,
     inertia = np.inf
     trace: list[float] = []
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, KMEANS_MAX_ITER + 1):
         dist = _sq_dist(x, xsq, centroids)
         new_assignment = np.argmin(dist, axis=1)
         sample_cost = dist[np.arange(n), new_assignment]
@@ -55,7 +57,7 @@ def kmeans_fit(points: np.ndarray, k: int, seed: int = 0,
                 sample_cost[far] = 0.0
         new_inertia = float(sample_cost.sum())
         trace.append(new_inertia)
-        if np.array_equal(new_assignment, assignment) or inertia - new_inertia <= tol:
+        if np.array_equal(new_assignment, assignment) or inertia - new_inertia <= KMEANS_TOL:
             assignment = new_assignment
             inertia = new_inertia
             break

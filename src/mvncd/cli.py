@@ -215,6 +215,8 @@ def cmd_sweep(args) -> int:
             if not is_monotone(result.objective_trace):
                 return cell, None, "error: non-monotone objective trace"
             return cell, report, "ok"
+        except DatasetError:  # the data fails every cell alike: refuse it
+            raise
         except Exception as exc:  # record the failure, keep sweeping
             return cell, None, f"error: {exc}"
 

@@ -57,13 +57,9 @@ def clustering_accuracy(pred: np.ndarray, truth: np.ndarray) -> float:
     return float(table.counts[rows, cols].sum() / table.num_samples)
 
 
-def nmi(pred: np.ndarray, truth: np.ndarray, average: str = "geometric") -> float:
-    """Normalized mutual information (natural log).
-
-    ``average`` picks the normalizing mean of the two entropies; the
-    package standard is "geometric" (sqrt normalization). Degenerate
-    0/0 cases (either side constant) return 0.0.
-    """
+def nmi(pred: np.ndarray, truth: np.ndarray) -> float:
+    """Mutual information (natural log) over the geometric mean of the two
+    entropies; degenerate 0/0 cases (either side constant) return 0.0."""
     table = contingency_table(pred, truth)
     joint = table.counts / table.num_samples
     # marginals from the integer counts, not from float row sums, so a
@@ -75,12 +71,7 @@ def nmi(pred: np.ndarray, truth: np.ndarray, average: str = "geometric") -> floa
     nz = joint > 0
     mi = float(np.sum(joint[nz] * (np.log(joint[nz])
                                    - np.log(np.outer(p_pred, p_true)[nz]))))
-    if average == "geometric":
-        denom = np.sqrt(h_pred * h_true)
-    elif average == "arithmetic":
-        denom = 0.5 * (h_pred + h_true)
-    else:
-        raise ValueError(f"unknown average: {average!r}")
+    denom = np.sqrt(h_pred * h_true)
     if denom <= 0:
         return 0.0
     return float(min(1.0, max(0.0, mi / denom)))

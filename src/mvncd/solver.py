@@ -143,6 +143,11 @@ def _build_problem(ds: MultiViewDataset, cfg: SolverConfig) -> _Problem:
                 f"view {view.view_index}: {view.dim} features cannot carry an "
                 f"orthonormal basis for {k} classes"
             )
+        if not np.ptp(view.data, axis=1).any():
+            raise DatasetError(
+                f"view {view.view_index}: every feature is constant over the "
+                f"{view.num_samples} samples, so it carries no cluster structure"
+            )
     rows = work.class_rows()
     truth_rows = rows[work.labels[work.labeled_indices]]
     counts = np.bincount(truth_rows, minlength=k).astype(float)
@@ -167,7 +172,7 @@ def _initialize(prob: _Problem, cfg: SolverConfig) -> ModelState:
     k = prob.num_classes
     num_views = len(prob.xs)
 
-    bases = [_leading_basis(x, k, rng) for x in prob.xs]
+    bases = [_leading_basis(x, k) for x in prob.xs]
 
     y = np.zeros(prob.xs[0].shape[1], dtype=int)
     y[prob.labeled] = prob.truth_rows
@@ -191,16 +196,13 @@ def _initialize(prob: _Problem, cfg: SolverConfig) -> ModelState:
     return state
 
 
-def _leading_basis(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Top-k left singular vectors, padded with a random orthonormal
-    completion when the factorization yields fewer than k of them."""
-    u, _, _ = np.linalg.svd(x, full_matrices=False)
-    if u.shape[1] >= k:
-        return u[:, :k].copy()
-    extra = rng.standard_normal((x.shape[0], k - u.shape[1]))
-    extra -= u @ (u.T @ extra)
-    q, _ = np.linalg.qr(extra)
-    return np.hstack([u, q[:, : k - u.shape[1]]])
+def _leading_basis(x: np.ndarray, k: int) -> np.ndarray:
+    """Top-k eigenvectors of the d x d Gram X X^T, largest first: an
+    orthonormal basis of the view's leading k-dimensional left subspace.
+    Only its span matters: a rotation inside it cancels between the
+    centroids and the next basis update."""
+    _, vecs = np.linalg.eigh(x @ x.T)
+    return vecs[:, ::-1][:, :k].copy()
 
 
 def update_basis(state: ModelState, xs: list[np.ndarray]) -> None:
@@ -213,15 +215,14 @@ def update_basis(state: ModelState, xs: list[np.ndarray]) -> None:
         state.bases[v] = u @ vt
 
 
-def update_centroids(state: ModelState, xs: list[np.ndarray],
-                     ridge: float = RIDGE) -> None:
+def update_centroids(state: ModelState, xs: list[np.ndarray]) -> None:
     """Per view, least-squares centroids given basis and assignment.
 
     Y @ Y.T is diagonal with the per-class column counts; the ridge keeps
     columns of empty classes defined (they go to ~zero).
     """
     counts = np.bincount(state.y, minlength=state.num_classes).astype(float)
-    inv = 1.0 / (counts + ridge)
+    inv = 1.0 / (counts + RIDGE)
     ymat = state.y_matrix()
     for v, x in enumerate(xs):
         state.centroids[v] = (state.bases[v].T @ x @ ymat.T) * inv[None, :]

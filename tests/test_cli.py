@@ -7,7 +7,13 @@ import pytest
 from conftest import FIXTURE_DIR, run_cli
 
 import mvncd.cli
-from mvncd.dataset import load_dataset
+from mvncd.dataset import (
+    SyntheticSpec,
+    generate_synthetic,
+    load_dataset,
+    make_dataset,
+    write_dataset,
+)
 from mvncd.solver import FitResult
 
 REPORT_KEYS = {
@@ -108,6 +114,21 @@ def test_run_refuses_non_monotone_trace(tmp_path, monkeypatch):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_run_refuses_constant_view(tmp_path):
+    base = generate_synthetic(SyntheticSpec(views=2, classes=6, per_class=50,
+                                            dims=8, separation=6.0, noise=1.0,
+                                            seed=0))
+    arrays = [v.data for v in base.views]
+    arrays.append(np.full((8, base.num_samples), 3.0))
+    write_dataset(make_dataset(arrays, base.labels, base.num_classes),
+                  tmp_path / "data")
+    code, _, stderr = run_cli(["run", "--data", str(tmp_path / "data"),
+                               "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "view 2" in stderr and "constant" in stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_no_command():
     code, stdout, _ = run_cli([])
     assert code == 2
@@ -192,6 +213,20 @@ def test_sweep_records_cell_failure_and_continues(tmp_path):
     ok_row = rows[2].split(",")
     assert ok_row[0] == "1" and ok_row[-1] == "ok"
     assert "lambda1=-1" in stderr
+
+
+def test_sweep_refuses_dataset_the_model_cannot_fit(tmp_path):
+    run_cli(["synth", "--classes", "4", "--per-class", "5", "--dims", "3",
+             "--out", str(tmp_path / "data")])
+    for jobs in ("1", "2"):
+        out = tmp_path / f"out_{jobs}"
+        code, _, stderr = run_cli(["sweep", "--data", str(tmp_path / "data"),
+                                   "--lambda1-grid", "1,10",
+                                   "--lambda2-grid", "1", "--jobs", jobs,
+                                   "--out", str(out)])
+        assert code == 2
+        assert "view 0" in stderr
+        assert not out.exists()
 
 
 # --- eval ---

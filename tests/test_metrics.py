@@ -141,12 +141,6 @@ def test_nmi_symmetric():
         assert nmi(a, b) == pytest.approx(nmi(b, a), abs=1e-12)
 
 
-def test_nmi_arithmetic_variant():
-    assert nmi([0, 1, 0, 1], [1, 0, 1, 0], average="arithmetic") == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        nmi([0, 1], [0, 1], average="harmonic")
-
-
 # --- purity ---
 
 def test_purity_examples():

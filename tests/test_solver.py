@@ -24,6 +24,7 @@ from mvncd.solver import (
     update_labels_known,
     update_labels_novel,
     update_view_weights,
+    _leading_basis,
 )
 
 I2 = np.eye(2)
@@ -117,6 +118,25 @@ def test_initialize_random_mode():
     state = initialize(ds, SolverConfig(seed=1, init_y_novel="random"))
     validate_state(state)
     assert state.y[ds.unlabeled_indices].min() >= ds.num_known
+
+
+def test_leading_basis_spans_top_singular_subspace():
+    rng = np.random.default_rng(10)
+    for trial in range(20):
+        k = int(rng.integers(2, 6))
+        d = k if trial % 4 == 0 else k + int(rng.integers(1, 6))
+        n = int(rng.integers(d, 60))
+        # top-k singular values in [5, 10], the rest in [0, 1]: a clear gap
+        s = np.concatenate([rng.uniform(5.0, 10.0, k),
+                            rng.uniform(0.0, 1.0, d - k)])
+        u, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        w, _ = np.linalg.qr(rng.standard_normal((n, d)))
+        x = (u * s) @ w.T
+        basis = _leading_basis(x, k)
+        assert basis.shape == (d, k)
+        assert np.allclose(basis.T @ basis, np.eye(k), atol=1e-12)
+        ref = np.linalg.svd(x, full_matrices=False)[0][:, :k]
+        assert np.max(np.abs(basis @ basis.T - ref @ ref.T)) < 1e-10
 
 
 # --- basis update ---
@@ -392,6 +412,33 @@ def test_fit_rejects_rank_deficient_views():
     ds = make_dataset([x], np.repeat(np.arange(4), 10), 4)
     with pytest.raises(DatasetError):
         fit(ds, SolverConfig())
+
+
+def test_fit_refuses_constant_view():
+    base = generate_synthetic(SyntheticSpec(views=2, classes=6, per_class=50,
+                                            dims=8, separation=6.0, noise=1.0,
+                                            seed=0))
+    arrays = [v.data for v in base.views]
+    arrays.append(np.full((8, base.num_samples), 3.0))
+    ds = make_dataset(arrays, base.labels, base.num_classes)
+    for normalize in ("zscore", "l2", "none"):
+        with pytest.raises(DatasetError, match="view 2: every feature is constant"):
+            fit(ds, SolverConfig(normalize=normalize))
+
+
+def test_fit_with_fewer_samples_than_classes():
+    # rank-deficient views: the leading basis takes null-space directions
+    rng = np.random.default_rng(47)
+    ds = make_dataset([rng.standard_normal((8, 4)), rng.standard_normal((7, 4))],
+                      np.array([0, 1, 3, 4]), 6)
+    cfg = SolverConfig(seed=0, max_iter=10)
+    a = fit(ds, cfg)
+    b = fit(ds, cfg)
+    validate_state(a.state)
+    assert np.array_equal(a.state.y, b.state.y)
+    for basis_a, basis_b in zip(a.state.bases, b.state.bases):
+        assert np.array_equal(basis_a, basis_b)
+    assert is_monotone(a.objective_trace)
 
 
 def test_fit_ablate_alpha_keeps_uniform_weights():
