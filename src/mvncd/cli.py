@@ -203,6 +203,12 @@ def _trace_csv(result) -> str:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+    if not args.lambda1_grid or not args.lambda2_grid:
+        raise ValueError("each lambda grid needs at least one value")
+    # every cell shares these settings, so an error in them refuses the sweep
+    base = _config_from_args(args, 0.0, 0.0)
     ds = load_dataset(args.data, known_classes=args.known_classes)
     out = Path(args.out)
     cells = [(l1, l2) for l1 in args.lambda1_grid for l2 in args.lambda2_grid]
@@ -210,7 +216,7 @@ def cmd_sweep(args) -> int:
     def one_cell(cell):
         l1, l2 = cell
         try:
-            cfg = _config_from_args(args, l1, l2)
+            cfg = dataclasses.replace(base, lambda1=l1, lambda2=l2)
             report, result = _execute(ds, cfg)
             if not is_monotone(result.objective_trace):
                 return cell, None, "error: non-monotone objective trace"

@@ -162,9 +162,45 @@ def _build_problem(ds: MultiViewDataset, cfg: SolverConfig) -> _Problem:
     )
 
 
+# The SolverConfig fields that _build_problem and _initialize read; the
+# other fields (the lambdas, the stopping rule and the switches of the
+# iterations) leave the preparation unchanged.
+_PREPARE_FIELDS = ("normalize", "ablate_labeled", "seed", "init_y_novel")
+_prepared: tuple | None = None   # (dataset, key, problem, initial state)
+
+
+def _prepare(ds: MultiViewDataset, cfg: SolverConfig) -> tuple[_Problem, ModelState]:
+    """The problem and the initial iterate for ``ds`` under ``cfg``.
+
+    The last preparation is kept in a single slot and reused while the
+    dataset object and the fields in ``_PREPARE_FIELDS`` stay the same, so
+    a sweep over the lambdas prepares once. The slot holds the dataset, so
+    its identity cannot be recycled while cached. Callers never mutate what
+    this returns; threads that miss together compute the same value.
+    """
+    global _prepared
+    key = tuple(getattr(cfg, name) for name in _PREPARE_FIELDS)
+    slot = _prepared
+    if slot is not None and slot[0] is ds and slot[1] == key:
+        return slot[2], slot[3]
+    prob = _build_problem(ds, cfg)
+    state = _initialize(prob, cfg)
+    _prepared = (ds, key, prob, state)
+    return prob, state
+
+
+def _copy_state(state: ModelState) -> ModelState:
+    """A state that shares no array with ``state``, so neither the block
+    updates nor a caller of :func:`initialize` can change the cached one."""
+    return ModelState(bases=[b.copy() for b in state.bases],
+                      centroids=[c.copy() for c in state.centroids],
+                      y=state.y.copy(),
+                      view_weights=state.view_weights.copy())
+
+
 def initialize(ds: MultiViewDataset, cfg: SolverConfig) -> ModelState:
-    """Build the starting iterate (public wrapper around the fit path)."""
-    return _initialize(_build_problem(ds, cfg), cfg)
+    """Build the starting iterate (the one :func:`fit` starts from)."""
+    return _copy_state(_prepare(ds, cfg)[1])
 
 
 def _initialize(prob: _Problem, cfg: SolverConfig) -> ModelState:
@@ -348,10 +384,16 @@ def fit(ds: MultiViewDataset, cfg: SolverConfig) -> FitResult:
     Block order per iteration: bases, centroids, assignments (labeled then
     unlabeled columns), view weights. Stops when the relative objective
     change |J_prev - J| / (|J_prev| + 1) drops below cfg.tol.
+
+    ``ds`` and its arrays are treated as immutable: the normalized problem
+    and the initial iterate of the last call are reused when ``ds`` is the
+    same object and normalize, ablate_labeled, seed and init_y_novel are
+    unchanged. After changing data in place, build a new dataset with
+    ``make_dataset``.
     """
     start = time.perf_counter()
-    prob = _build_problem(ds, cfg)
-    state = _initialize(prob, cfg)
+    prob, initial = _prepare(ds, cfg)
+    state = _copy_state(initial)
 
     trace = [_objective(state, prob, cfg)]
     alphas = [state.view_weights.copy()]

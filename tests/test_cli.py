@@ -7,6 +7,7 @@ import pytest
 from conftest import FIXTURE_DIR, run_cli
 
 import mvncd.cli
+from mvncd import solver
 from mvncd.dataset import (
     SyntheticSpec,
     generate_synthetic,
@@ -227,6 +228,53 @@ def test_sweep_refuses_dataset_the_model_cannot_fit(tmp_path):
         assert code == 2
         assert "view 0" in stderr
         assert not out.exists()
+
+
+def test_sweep_refuses_config_error_every_cell_shares(tmp_path):
+    for flags in (["--max-iter", "0"], ["--tol", "-1"]):
+        out = tmp_path / flags[0].lstrip("-")
+        code, _, stderr = run_cli(["sweep", "--data", str(FIXTURE_DIR),
+                                   "--lambda1-grid", "1,10",
+                                   "--lambda2-grid", "1", *flags,
+                                   "--out", str(out)])
+        assert code == 2
+        assert flags[0].lstrip("-").replace("-", "_") in stderr
+        assert not out.exists()
+
+
+def test_sweep_refuses_jobs_below_one(tmp_path):
+    for jobs in ("0", "-3"):
+        out = tmp_path / f"jobs_{jobs}"
+        code, _, stderr = run_cli(["sweep", "--data", str(FIXTURE_DIR),
+                                   "--lambda1-grid", "1",
+                                   "--lambda2-grid", "1", "--jobs", jobs,
+                                   "--out", str(out)])
+        assert code == 2
+        assert "--jobs" in stderr
+        assert not out.exists()
+
+
+def test_sweep_refuses_empty_grid(tmp_path):
+    for flag in ("--lambda1-grid", "--lambda2-grid"):
+        out = tmp_path / flag.lstrip("-")
+        code, stdout, stderr = run_cli(["sweep", "--data", str(FIXTURE_DIR),
+                                        f"{flag}=,", "--out", str(out)])
+        assert code == 2
+        assert "grid" in stderr
+        assert "sweep of" not in stdout
+        assert not out.exists()
+
+
+def test_sweep_prepares_once(tmp_path, monkeypatch):
+    calls = []
+    real = solver._initialize
+    monkeypatch.setattr(solver, "_initialize",
+                        lambda prob, cfg: calls.append(cfg) or real(prob, cfg))
+    code, _, _ = run_cli(["sweep", "--data", str(FIXTURE_DIR),
+                          "--lambda1-grid", "1,10", "--lambda2-grid", "1,10",
+                          "--jobs", "1", "--out", str(tmp_path)])
+    assert code == 0
+    assert len(calls) == 1
 
 
 # --- eval ---

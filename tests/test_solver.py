@@ -1,3 +1,7 @@
+import dataclasses
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -9,6 +13,7 @@ from mvncd.dataset import (
     generate_synthetic,
     make_dataset,
 )
+from mvncd import solver
 from mvncd.metrics import clustering_accuracy
 from mvncd.solver import (
     ModelState,
@@ -439,6 +444,134 @@ def test_fit_with_fewer_samples_than_classes():
     for basis_a, basis_b in zip(a.state.bases, b.state.bases):
         assert np.array_equal(basis_a, basis_b)
     assert is_monotone(a.objective_trace)
+
+
+# --- preparation reuse ---
+
+def _fresh_fit(ds, cfg):
+    solver._prepared = None
+    return fit(ds, cfg)
+
+
+def _assert_same_fit(a, b):
+    assert a.objective_trace == b.objective_trace
+    assert a.iterations == b.iterations
+    assert np.array_equal(a.novel_assignment, b.novel_assignment)
+    assert len(a.alpha_trace) == len(b.alpha_trace)
+    for alpha_a, alpha_b in zip(a.alpha_trace, b.alpha_trace):
+        assert np.array_equal(alpha_a, alpha_b)
+
+
+def _overlapping_blobs(seed=5):
+    # overlapping enough that seed, init, normalization and ablation each
+    # change the fit
+    return generate_synthetic(SyntheticSpec(views=2, classes=6, per_class=15,
+                                            dims=(7, 9), separation=2.5,
+                                            noise=1.0, seed=seed))
+
+
+class _ReadRecorder:
+    def __init__(self, cfg):
+        self._cfg = cfg
+        self.read = set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self._cfg, name)
+
+
+def test_prepare_key_is_every_config_field_preparation_reads():
+    ds = _overlapping_blobs()
+    read = set()
+    for ablate in (False, True):
+        for init in ("kmeans", "random"):
+            recorder = _ReadRecorder(SolverConfig(ablate_labeled=ablate,
+                                                  init_y_novel=init))
+            prob = solver._build_problem(ds, recorder)
+            solver._initialize(prob, recorder)
+            read |= recorder.read
+    assert read == set(solver._PREPARE_FIELDS)
+
+
+def test_prepare_reuses_only_on_same_dataset_and_key():
+    ds = _overlapping_blobs()
+    base = SolverConfig(seed=0, max_iter=20)
+    reference = _fresh_fit(ds, base)
+    for change in ({"normalize": "l2"}, {"seed": 1},
+                   {"init_y_novel": "random"}, {"ablate_labeled": True}):
+        cfg = dataclasses.replace(base, **change)
+        fit(ds, base)                       # the slot now holds base's key
+        warm = fit(ds, cfg)
+        cold = _fresh_fit(ds, cfg)
+        _assert_same_fit(warm, cold)
+        assert cold.objective_trace[0] != reference.objective_trace[0], change
+    # same contents in a new dataset object: prepared anew, same result
+    twin = make_dataset([v.data.copy() for v in ds.views], ds.labels.copy(),
+                        ds.num_classes, ds.known_classes)
+    fit(ds, base)
+    _assert_same_fit(fit(twin, base), reference)
+    assert solver._prepared[0] is twin
+    # other contents in a new dataset object of the same shape
+    other = _overlapping_blobs(seed=6)
+    fit(ds, base)
+    _assert_same_fit(fit(other, base), _fresh_fit(other, base))
+
+
+def test_prepare_reused_across_lambdas(monkeypatch):
+    ds = _overlapping_blobs()
+    calls = []
+    real = solver._initialize
+    monkeypatch.setattr(solver, "_initialize",
+                        lambda prob, cfg: calls.append(cfg) or real(prob, cfg))
+    solver._prepared = None
+    for lambda1 in (1.0, 10.0):
+        for lambda2 in (1.0, 100.0):
+            fit(ds, SolverConfig(lambda1=lambda1, lambda2=lambda2, tol=0.0,
+                                 max_iter=3, ablate_alpha=lambda1 > 1))
+    assert len(calls) == 1
+
+
+def test_fit_leaves_the_prepared_state_untouched():
+    ds_a = _overlapping_blobs(seed=5)
+    ds_b = _overlapping_blobs(seed=6)
+    cfg = SolverConfig(seed=0, max_iter=20)
+    fresh_a = _fresh_fit(ds_a, cfg)
+    fresh_b = _fresh_fit(ds_b, cfg)
+    _assert_same_fit(fit(ds_b, cfg), fresh_b)
+    for ds, fresh in ((ds_a, fresh_a), (ds_a, fresh_a), (ds_b, fresh_b),
+                      (ds_a, fresh_a), (ds_b, fresh_b), (ds_b, fresh_b)):
+        _assert_same_fit(fit(ds, cfg), fresh)
+    # nor does a caller's change to the state initialize hands out
+    state = initialize(ds_b, cfg)
+    state.y[:] = 0
+    state.view_weights[:] = 0.0
+    for basis, centroids in zip(state.bases, state.centroids):
+        basis[:] = 0.0
+        centroids[:] = 0.0
+    _assert_same_fit(fit(ds_b, cfg), fresh_b)
+
+
+def test_prepared_state_shared_by_threads():
+    # more threads than cores, switching often, over runs of fits that
+    # share a preparation and then replace it: a fit that iterated on the
+    # shared state, or mixed two slots, would drift from its cold result
+    datasets = (_overlapping_blobs(seed=5), _overlapping_blobs(seed=6))
+    # a random start, so that the label updates move assignments
+    cases = [(ds, SolverConfig(init_y_novel="random", seed=seed,
+                               lambda1=lambda1, lambda2=lambda2, max_iter=10))
+             for ds in datasets for seed in (0, 1)
+             for lambda1 in (1.0, 10.0) for lambda2 in (1.0, 100.0)]
+    cold = [_fresh_fit(ds, cfg) for ds, cfg in cases]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(fit, ds, cfg) for ds, cfg in cases * 3]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for i, result in enumerate(results):
+        _assert_same_fit(result, cold[i % len(cases)])
 
 
 def test_fit_ablate_alpha_keeps_uniform_weights():
