@@ -11,6 +11,7 @@ subproblem given the others, so the objective never increases.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -54,12 +55,12 @@ class SolverConfig:
     track_block_objective: bool = False
 
     def __post_init__(self) -> None:
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError("lambda1 and lambda2 must be >= 0")
+        for name in ("lambda1", "lambda2", "tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.tol < 0:
-            raise ValueError("tol must be >= 0")
         if self.init_y_novel not in ("kmeans", "random"):
             raise ValueError(f"unknown init_y_novel: {self.init_y_novel!r}")
         if self.normalize not in ("zscore", "l2", "none"):
@@ -85,8 +86,24 @@ class ModelState:
     def num_classes(self) -> int:
         return int(self.bases[0].shape[1])
 
-    def y_matrix(self) -> np.ndarray:
-        return encode_onehot(self.y, self.num_classes)
+
+@dataclass
+class ClassStats:
+    """All the basis, centroid and residual updates read of the data under
+    one assignment y, so they need not touch the views while y stays put.
+
+    ``counts`` holds the samples per one-hot row. Per view v, ``sums[v]`` is
+    the d_v x k class-sum matrix S_v = X_v @ Y.T, ``frames[v]`` its thin QR
+    factors (Q_v, R_v), ``means[v]`` the class means S_v / counts (zero on
+    empty rows) and ``scatter[v]`` the within-class scatter
+    W_v = sum_i ||x_i - mean_{y_i}||^2.
+    """
+
+    counts: np.ndarray
+    sums: list[np.ndarray]
+    frames: list[tuple[np.ndarray, np.ndarray]]
+    means: list[np.ndarray]
+    scatter: np.ndarray
 
 
 @dataclass
@@ -97,8 +114,9 @@ class WorkBuffers:
     ``xs`` are the views and ``maps[v]`` is basis @ centroids for view v, so
     view v reconstructs sample i as ``maps[v][:, y[i]]``. ``diag`` holds the
     weight-combined squared norms of the columns of the maps and ``score``
-    the weight-combined inner products with the data. ``label_counts``
-    counts ground-truth labeled samples per one-hot row (zero on novel rows).
+    the weight-combined inner products with the data; the label updates read
+    both. ``label_counts`` counts ground-truth labeled samples per one-hot
+    row (zero on novel rows).
     """
 
     xs: list[np.ndarray]
@@ -166,11 +184,13 @@ def _build_problem(ds: MultiViewDataset, cfg: SolverConfig) -> _Problem:
 # other fields (the lambdas, the stopping rule and the switches of the
 # iterations) leave the preparation unchanged.
 _PREPARE_FIELDS = ("normalize", "ablate_labeled", "seed", "init_y_novel")
-_prepared: tuple | None = None   # (dataset, key, problem, initial state)
+_prepared: tuple | None = None   # (dataset, key, problem, initial state, its stats)
 
 
-def _prepare(ds: MultiViewDataset, cfg: SolverConfig) -> tuple[_Problem, ModelState]:
-    """The problem and the initial iterate for ``ds`` under ``cfg``.
+def _prepare(ds: MultiViewDataset,
+             cfg: SolverConfig) -> tuple[_Problem, ModelState, ClassStats]:
+    """The problem, the initial iterate and its class statistics for ``ds``
+    under ``cfg``.
 
     The last preparation is kept in a single slot and reused while the
     dataset object and the fields in ``_PREPARE_FIELDS`` stay the same, so
@@ -182,11 +202,11 @@ def _prepare(ds: MultiViewDataset, cfg: SolverConfig) -> tuple[_Problem, ModelSt
     key = tuple(getattr(cfg, name) for name in _PREPARE_FIELDS)
     slot = _prepared
     if slot is not None and slot[0] is ds and slot[1] == key:
-        return slot[2], slot[3]
+        return slot[2], slot[3], slot[4]
     prob = _build_problem(ds, cfg)
-    state = _initialize(prob, cfg)
-    _prepared = (ds, key, prob, state)
-    return prob, state
+    state, stats = _initialize(prob, cfg)
+    _prepared = (ds, key, prob, state, stats)
+    return prob, state, stats
 
 
 def _copy_state(state: ModelState) -> ModelState:
@@ -203,13 +223,29 @@ def initialize(ds: MultiViewDataset, cfg: SolverConfig) -> ModelState:
     return _copy_state(_prepare(ds, cfg)[1])
 
 
-def _initialize(prob: _Problem, cfg: SolverConfig) -> ModelState:
-    rng = np.random.default_rng(cfg.seed)
+def _initialize(prob: _Problem, cfg: SolverConfig) -> tuple[ModelState, ClassStats]:
     k = prob.num_classes
     num_views = len(prob.xs)
-
     bases = [_leading_basis(x, k) for x in prob.xs]
+    y = _initial_assignment(prob, cfg)
+    # computed once the k-means input is released, to keep the peak down
+    stats = class_stats(prob.xs, y, k)
+    state = ModelState(
+        bases=bases,
+        centroids=[np.zeros((k, k)) for _ in range(num_views)],
+        y=y,
+        view_weights=np.full(num_views, 1.0 / num_views),
+    )
+    update_centroids(state, prob.xs, stats)
+    return state, stats
 
+
+def _initial_assignment(prob: _Problem, cfg: SolverConfig) -> np.ndarray:
+    """Ground-truth rows for labeled samples; k-means on the stacked views
+    for the unlabeled ones, or random novel rows when asked for or when
+    there are fewer unlabeled samples than novel classes."""
+    rng = np.random.default_rng(cfg.seed)
+    k = prob.num_classes
     y = np.zeros(prob.xs[0].shape[1], dtype=int)
     y[prob.labeled] = prob.truth_rows
     n_u = prob.unlabeled.size
@@ -221,15 +257,7 @@ def _initialize(prob: _Problem, cfg: SolverConfig) -> ModelState:
             y[prob.unlabeled] = prob.num_known + km.assignment
         else:
             y[prob.unlabeled] = rng.integers(prob.num_known, k, size=n_u)
-
-    state = ModelState(
-        bases=bases,
-        centroids=[np.zeros((k, k)) for _ in range(num_views)],
-        y=y,
-        view_weights=np.full(num_views, 1.0 / num_views),
-    )
-    update_centroids(state, prob.xs)
-    return state
+    return y
 
 
 def _leading_basis(x: np.ndarray, k: int) -> np.ndarray:
@@ -241,27 +269,74 @@ def _leading_basis(x: np.ndarray, k: int) -> np.ndarray:
     return vecs[:, ::-1][:, :k].copy()
 
 
-def update_basis(state: ModelState, xs: list[np.ndarray]) -> None:
-    """Per view, set the basis to the polar factor of X @ Y.T @ centroids.T
-    (the orthogonal-Procrustes maximizer of the trace it pairs with)."""
-    ymat = state.y_matrix()
-    for v, x in enumerate(xs):
-        target = x @ ymat.T @ state.centroids[v].T
-        u, _, vt = np.linalg.svd(target, full_matrices=False)
-        state.bases[v] = u @ vt
+_SCATTER_COLUMNS = 1024   # samples per block of the scatter pass
 
 
-def update_centroids(state: ModelState, xs: list[np.ndarray]) -> None:
-    """Per view, least-squares centroids given basis and assignment.
+def class_stats(xs: list[np.ndarray], y: np.ndarray, k: int) -> ClassStats:
+    """Class statistics of assignment ``y`` over the views ``xs``."""
+    counts, sums = _class_sums(xs, y, k)
+    means = [np.divide(s, counts, out=np.zeros_like(s), where=counts > 0)
+             for s in sums]
+    scatter = np.array([_within_scatter(x, y, mu) for x, mu in zip(xs, means)])
+    return ClassStats(counts=counts, sums=sums,
+                      frames=[np.linalg.qr(s) for s in sums],
+                      means=means, scatter=scatter)
 
-    Y @ Y.T is diagonal with the per-class column counts; the ridge keeps
-    columns of empty classes defined (they go to ~zero).
+
+def _class_sums(xs: list[np.ndarray], y: np.ndarray,
+                k: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Samples per row and the class sums X_v @ Y.T of every view."""
+    ymat_t = encode_onehot(y, k).T
+    return np.bincount(y, minlength=k).astype(float), [x @ ymat_t for x in xs]
+
+
+def _within_scatter(x: np.ndarray, y: np.ndarray, means: np.ndarray) -> float:
+    """sum_i ||x_i - means[:, y_i]||^2, a block of columns at a time so no
+    d x n temporary exists."""
+    total = 0.0
+    for start in range(0, y.size, _SCATTER_COLUMNS):
+        cols = slice(start, start + _SCATTER_COLUMNS)
+        diff = np.take(means, y[cols], axis=1)
+        diff -= x[:, cols]
+        total += float(np.einsum("ij,ij->", diff, diff))
+    return total
+
+
+def update_basis(state: ModelState, xs: list[np.ndarray],
+                 stats: ClassStats | None = None) -> None:
+    """Per view, set the basis to the polar factor of S_v @ centroids.T,
+    with S_v = X_v @ Y.T the class sums (the orthogonal-Procrustes maximizer
+    of the trace it pairs with). With S_v = Q_v R_v that factor is Q_v times
+    the polar factor of the k x k matrix R_v @ centroids.T, so a single
+    batched SVD of k x k matrices serves every view, whatever its d_v; this
+    per-iteration cost does not grow with n. ``stats`` are the class
+    statistics of ``state.y``; without them the class sums are computed
+    from ``xs``."""
+    if stats is None:
+        sums = _class_sums(xs, state.y, state.num_classes)[1]
+        frames = [np.linalg.qr(s) for s in sums]
+    else:
+        frames = stats.frames
+    u, _, vt = np.linalg.svd(np.stack([r @ c.T for (_, r), c
+                                       in zip(frames, state.centroids)]))
+    for v, ((q, _), polar) in enumerate(zip(frames, u @ vt)):
+        state.bases[v] = q @ polar
+
+
+def update_centroids(state: ModelState, xs: list[np.ndarray],
+                     stats: ClassStats | None = None) -> None:
+    """Per view, least-squares centroids given basis and assignment:
+    basis.T @ S_v divided column-wise by the class counts.
+
+    Y @ Y.T is diagonal with the per-class counts; the ridge keeps columns
+    of empty classes defined (they go to ~zero). ``stats`` as in
+    :func:`update_basis`.
     """
-    counts = np.bincount(state.y, minlength=state.num_classes).astype(float)
+    counts, sums = (_class_sums(xs, state.y, state.num_classes)
+                    if stats is None else (stats.counts, stats.sums))
     inv = 1.0 / (counts + RIDGE)
-    ymat = state.y_matrix()
-    for v, x in enumerate(xs):
-        state.centroids[v] = (state.bases[v].T @ x @ ymat.T) * inv[None, :]
+    for v, s in enumerate(sums):
+        state.centroids[v] = (state.bases[v].T @ s) * inv[None, :]
 
 
 def make_buffers(state: ModelState, xs: list[np.ndarray],
@@ -277,20 +352,26 @@ def make_buffers(state: ModelState, xs: list[np.ndarray],
                        label_counts=np.asarray(label_counts, dtype=float))
 
 
-def compute_residuals(buffers: WorkBuffers, y: np.ndarray) -> np.ndarray:
-    """Per-view squared reconstruction error for assignment ``y``."""
-    return _reconstruction_errors(buffers.xs, buffers.maps, y)
+def compute_residuals(buffers: WorkBuffers, y: np.ndarray,
+                      stats: ClassStats | None = None) -> np.ndarray:
+    """Per-view squared reconstruction error for assignment ``y``;
+    ``stats`` are the class statistics of ``y``, computed from
+    ``buffers.xs`` when not given."""
+    if stats is None:
+        stats = class_stats(buffers.xs, y, buffers.maps[0].shape[1])
+    return _residuals(stats, buffers.maps)
 
 
-def _reconstruction_errors(xs: list[np.ndarray], maps: list[np.ndarray],
-                           y: np.ndarray) -> np.ndarray:
-    """``||X_v - maps[v][:, y]||^2`` per view, summed literally: the one
-    formula behind the view-weight update and every objective value."""
-    out = np.empty(len(xs))
-    for v, x in enumerate(xs):
-        diff = maps[v][:, y]
-        diff -= x
-        out[v] = float(np.sum(np.square(diff, out=diff)))
+def _residuals(stats: ClassStats, maps: list[np.ndarray]) -> np.ndarray:
+    """``||X_v - maps[v][:, y]||^2`` per view, split at the class means
+    (Koenig-Huygens): W_v + sum_c n_c ||mean_c - maps[v][:, c]||^2. Both
+    terms are sums of squares, so nothing cancels, and an empty row adds
+    exactly 0. The one formula behind the view-weight update and every
+    objective value."""
+    out = np.empty(len(maps))
+    for v, m in enumerate(maps):
+        gap = stats.means[v] - m
+        out[v] = stats.scatter[v] + np.einsum("ij,ij,j->", gap, gap, stats.counts)
     return out
 
 
@@ -345,16 +426,19 @@ def objective_value(state: ModelState, ds: MultiViewDataset,
     """Full objective of ``state`` on ``ds`` under ``cfg`` (same
     preprocessing fit applies: normalization and the labeled-ablation
     restriction)."""
-    return _objective(state, _build_problem(ds, cfg), cfg)
+    prob = _build_problem(ds, cfg)
+    return _objective(state, prob, cfg,
+                      class_stats(prob.xs, state.y, prob.num_classes))
 
 
 def _objective(state: ModelState, prob: _Problem, cfg: SolverConfig,
-               residuals: np.ndarray | None = None) -> float:
-    """Objective of ``state``; ``residuals`` are its per-view reconstruction
-    errors when the caller already has them."""
+               stats: ClassStats, residuals: np.ndarray | None = None) -> float:
+    """Objective of ``state``, whose assignment has class statistics
+    ``stats``; ``residuals`` are its per-view reconstruction errors when the
+    caller already has them."""
     if residuals is None:
-        maps = [b @ c for b, c in zip(state.bases, state.centroids)]
-        residuals = _reconstruction_errors(prob.xs, maps, state.y)
+        residuals = _residuals(stats, [b @ c for b, c in zip(state.bases,
+                                                             state.centroids)])
     w2 = state.view_weights**2
     total = 0.0
     for v in range(len(prob.xs)):
@@ -383,41 +467,46 @@ def fit(ds: MultiViewDataset, cfg: SolverConfig) -> FitResult:
 
     Block order per iteration: bases, centroids, assignments (labeled then
     unlabeled columns), view weights. Stops when the relative objective
-    change |J_prev - J| / (|J_prev| + 1) drops below cfg.tol.
+    change |J_prev - J| / (|J_prev| + 1) drops below cfg.tol. Only the
+    assignment update reads the views; the other blocks and the objective
+    work from the class statistics, rebuilt when the assignment moves.
 
-    ``ds`` and its arrays are treated as immutable: the normalized problem
-    and the initial iterate of the last call are reused when ``ds`` is the
-    same object and normalize, ablate_labeled, seed and init_y_novel are
-    unchanged. After changing data in place, build a new dataset with
-    ``make_dataset``.
+    ``ds`` and its arrays are treated as immutable: the normalized problem,
+    the initial iterate and its statistics of the last call are reused when
+    ``ds`` is the same object and normalize, ablate_labeled, seed and
+    init_y_novel are unchanged. After changing data in place, build a new
+    dataset with ``make_dataset``.
     """
     start = time.perf_counter()
-    prob, initial = _prepare(ds, cfg)
+    prob, initial, stats = _prepare(ds, cfg)
     state = _copy_state(initial)
 
-    trace = [_objective(state, prob, cfg)]
+    trace = [_objective(state, prob, cfg, stats)]
     alphas = [state.view_weights.copy()]
     block_trace: list[float] | None = [] if cfg.track_block_objective else None
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
-        update_basis(state, prob.xs)
+        update_basis(state, prob.xs, stats)
         if block_trace is not None:
-            block_trace.append(_objective(state, prob, cfg))
-        update_centroids(state, prob.xs)
+            block_trace.append(_objective(state, prob, cfg, stats))
+        update_centroids(state, prob.xs, stats)
         if block_trace is not None:
-            block_trace.append(_objective(state, prob, cfg))
+            block_trace.append(_objective(state, prob, cfg, stats))
         buffers = make_buffers(state, prob.xs, prob.label_counts)
+        previous_y = state.y.copy()
         update_labels_known(state, buffers, prob.labeled, prob.truth_rows,
                             cfg.lambda1)
         update_labels_novel(state, buffers, prob.unlabeled, cfg.lambda2,
                             num_known=prob.num_known,
                             hard_restrict=cfg.hard_restrict_novel)
+        if not np.array_equal(previous_y, state.y):
+            stats = class_stats(prob.xs, state.y, prob.num_classes)
         if block_trace is not None:
-            block_trace.append(_objective(state, prob, cfg))
-        residuals = compute_residuals(buffers, state.y)
+            block_trace.append(_objective(state, prob, cfg, stats))
+        residuals = compute_residuals(buffers, state.y, stats)
         update_view_weights(state, residuals, cfg.ablate_alpha)
-        current = _objective(state, prob, cfg, residuals)
+        current = _objective(state, prob, cfg, stats, residuals)
         if block_trace is not None:
             block_trace.append(current)
         trace.append(current)

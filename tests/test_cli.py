@@ -92,6 +92,17 @@ def test_run_invalid_lambda(tmp_path):
     assert "error" in stderr
 
 
+def test_run_refuses_non_finite_settings(tmp_path):
+    for flag, value in (("--lambda1", "nan"), ("--lambda2", "inf"),
+                        ("--tol", "nan")):
+        out = tmp_path / flag.lstrip("-")
+        code, _, stderr = run_fixture(out, flag, value)
+        assert code == 2
+        assert f"{flag.lstrip('-')} must be finite" in stderr
+        assert f"got {value}" in stderr
+        assert not out.exists()
+
+
 def test_run_refuses_non_monotone_trace(tmp_path, monkeypatch):
     real_fit = mvncd.cli.fit
 
@@ -216,6 +227,21 @@ def test_sweep_records_cell_failure_and_continues(tmp_path):
     assert "lambda1=-1" in stderr
 
 
+def test_sweep_records_non_finite_lambda_as_cell_error(tmp_path):
+    code, _, stderr = run_cli(["sweep", "--data", str(FIXTURE_DIR),
+                               "--lambda1-grid", "1,nan",
+                               "--lambda2-grid", "1,inf", "--out", str(tmp_path)])
+    assert code == 0
+    rows = (tmp_path / "summary.csv").read_text().splitlines()
+    assert rows[1].startswith("1,1,") and rows[1].endswith(",ok")
+    assert rows[2].startswith("1,inf,,,,") and "lambda2 must be finite" in rows[2]
+    assert "got inf" in rows[2]
+    for row in rows[3:]:
+        assert row.startswith("nan,") and "lambda1 must be finite" in row
+        assert "got nan" in row
+    assert "lambda1=nan" in stderr
+
+
 def test_sweep_refuses_dataset_the_model_cannot_fit(tmp_path):
     run_cli(["synth", "--classes", "4", "--per-class", "5", "--dims", "3",
              "--out", str(tmp_path / "data")])
@@ -231,8 +257,9 @@ def test_sweep_refuses_dataset_the_model_cannot_fit(tmp_path):
 
 
 def test_sweep_refuses_config_error_every_cell_shares(tmp_path):
-    for flags in (["--max-iter", "0"], ["--tol", "-1"]):
-        out = tmp_path / flags[0].lstrip("-")
+    for i, flags in enumerate((["--max-iter", "0"], ["--tol", "-1"],
+                               ["--tol", "nan"])):
+        out = tmp_path / f"case_{i}"
         code, _, stderr = run_cli(["sweep", "--data", str(FIXTURE_DIR),
                                    "--lambda1-grid", "1,10",
                                    "--lambda2-grid", "1", *flags,

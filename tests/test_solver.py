@@ -10,14 +10,17 @@ from conftest import naive_objective, random_dataset, validate_state
 from mvncd.dataset import (
     DatasetError,
     SyntheticSpec,
+    encode_onehot,
     generate_synthetic,
     make_dataset,
+    normalize_features,
 )
 from mvncd import solver
 from mvncd.metrics import clustering_accuracy
 from mvncd.solver import (
     ModelState,
     SolverConfig,
+    compute_residuals,
     fit,
     initialize,
     is_monotone,
@@ -83,6 +86,10 @@ def test_config_validation():
         SolverConfig(max_iter=0)
     with pytest.raises(ValueError):
         SolverConfig(tol=-1e-9)
+    for field in ("lambda1", "lambda2", "tol"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                SolverConfig(**{field: value})
     with pytest.raises(ValueError):
         SolverConfig(init_y_novel="pseudo")
     with pytest.raises(ValueError):
@@ -208,7 +215,7 @@ def test_centroids_normal_equations_residual():
         state = random_state(rng, ds)
         xs = [v.data for v in ds.views]
         update_centroids(state, xs)
-        ymat = state.y_matrix()
+        ymat = encode_onehot(state.y, ds.num_classes)
         counts = np.diag(ymat @ ymat.T)
         for v, x in enumerate(xs):
             residual = state.bases[v].T @ x @ ymat.T \
@@ -342,6 +349,32 @@ def test_objective_matches_naive_recomputation():
             fast = objective_value(state, ds, cfg)
             slow = naive_objective(state, ds, cfg)
             assert fast == pytest.approx(slow, rel=1e-9, abs=1e-9)
+
+            # leave rows empty: they must add exactly 0, whatever their
+            # centroid columns hold, and no mean may divide by a zero count
+            empty = rng.choice(ds.num_classes, size=2, replace=False)
+            keep = np.setdiff1d(np.arange(ds.num_classes), empty)
+            state.y = keep[state.y % keep.size]
+            with np.errstate(divide="raise", invalid="raise"):
+                fast = objective_value(state, ds, cfg)
+                for centroids in state.centroids:
+                    centroids[:, empty] = rng.standard_normal((ds.num_classes, 2)) * 1e3
+                assert objective_value(state, ds, cfg) == fast
+            assert fast == pytest.approx(naive_objective(state, ds, cfg),
+                                         rel=1e-9, abs=1e-9)
+
+
+def test_objective_matches_naive_recomputation_on_near_noiseless_data():
+    # at a fitted state with lambda2 = 0 the objective is the reconstruction
+    # error alone, about 5e-10 here against data of norm 200 per entry
+    ds = generate_synthetic(SyntheticSpec(views=2, classes=4, per_class=60,
+                                          dims=50, separation=200.0,
+                                          noise=1e-7, seed=0))
+    cfg = SolverConfig(lambda2=0.0, normalize="none")
+    state = fit(ds, cfg).state
+    slow = naive_objective(state, ds, cfg)
+    assert 0 < slow < 1e-8
+    assert objective_value(state, ds, cfg) == pytest.approx(slow, rel=1e-9, abs=0)
 
 
 def test_lower_bound_fields():
@@ -572,6 +605,56 @@ def test_prepared_state_shared_by_threads():
         sys.setswitchinterval(interval)
     for i, result in enumerate(results):
         _assert_same_fit(result, cold[i % len(cases)])
+
+
+def _replay_fit(ds, cfg):
+    """fit's block order through the public functions only, the way an
+    outside caller (the benchmark's traced replay) runs it: normalize once,
+    then hand every function the normalized views and no class statistics.
+    Returns the result and the number of iterations whose label updates
+    moved y."""
+    work = normalize_features(ds, cfg.normalize)
+    raw = dataclasses.replace(cfg, normalize="none")
+    state = initialize(work, raw)
+    xs = [view.data for view in work.views]
+    labeled, unlabeled = work.labeled_indices, work.unlabeled_indices
+    truth_rows = work.class_rows()[work.labels[labeled]]
+    label_counts = np.bincount(truth_rows, minlength=work.num_classes).astype(float)
+    trace = [objective_value(state, work, raw)]
+    alphas = [state.view_weights.copy()]
+    moved = 0
+    for iterations in range(1, cfg.max_iter + 1):
+        update_basis(state, xs)
+        update_centroids(state, xs)
+        buffers = make_buffers(state, xs, label_counts)
+        before = state.y.copy()
+        update_labels_known(state, buffers, labeled, truth_rows, cfg.lambda1)
+        update_labels_novel(state, buffers, unlabeled, cfg.lambda2,
+                            num_known=work.num_known,
+                            hard_restrict=cfg.hard_restrict_novel)
+        moved += not np.array_equal(before, state.y)
+        update_view_weights(state, compute_residuals(buffers, state.y),
+                            cfg.ablate_alpha)
+        trace.append(objective_value(state, work, raw))
+        alphas.append(state.view_weights.copy())
+        if abs(trace[-2] - trace[-1]) / (abs(trace[-2]) + 1.0) < cfg.tol:
+            break
+    result = solver.FitResult(novel_assignment=state.y[unlabeled].copy(),
+                              objective_trace=trace, alpha_trace=alphas,
+                              iterations=iterations, converged=False,
+                              wall_time=0.0, state=state)
+    return result, moved
+
+
+def test_public_blocks_replay_fit_bit_for_bit_while_labels_move():
+    # a random start, so the label updates move y over several iterations
+    # and fit rebuilds its class statistics mid-fit
+    for seed in (0, 1):
+        ds = _overlapping_blobs(seed=5 + seed)
+        cfg = SolverConfig(init_y_novel="random", seed=seed, max_iter=40)
+        replayed, moved = _replay_fit(ds, cfg)
+        assert moved >= 2
+        _assert_same_fit(replayed, fit(ds, cfg))
 
 
 def test_fit_ablate_alpha_keeps_uniform_weights():
