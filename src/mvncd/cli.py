@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -227,6 +226,9 @@ def cmd_sweep(args) -> int:
             return cell, None, f"error: {exc}"
 
     if args.jobs > 1:
+        # imported here: concurrent.futures pulls in logging, which every
+        # other call would pay for at import
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             outcomes = list(pool.map(one_cell, cells))
     else:
@@ -276,7 +278,12 @@ def cmd_eval(args) -> int:
         raise DatasetError(f"could not parse assignment file: {exc}") from exc
     if values.ndim != 1 or not np.all(values == np.floor(values)):
         raise DatasetError("assignment file must hold one integer per line")
-    pred = values.astype(int)
+    # a 64-bit float below 2**63 converts exactly; inf and larger values
+    # would cast to a bogus id
+    if not np.all((values >= -2.0**63) & (values < 2.0**63)):
+        raise DatasetError("assignment file holds a cluster id that is not "
+                           "finite or does not fit a 64-bit integer")
+    pred = values.astype(np.int64)
     if pred.size != ds.num_unlabeled:
         raise DatasetError(
             f"assignment has {pred.size} entries, dataset has "

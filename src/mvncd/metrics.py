@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 
 @dataclass(frozen=True)
@@ -47,7 +46,53 @@ def hungarian_match(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("cost must be a non-empty 2-d matrix")
     if not np.all(np.isfinite(cost)):
         raise ValueError("cost must be finite")
-    return linear_sum_assignment(cost)
+    if cost.shape[0] > cost.shape[1]:
+        rows = _assign_rows(cost.T)
+        order = np.argsort(rows)
+        return rows[order], order
+    return np.arange(cost.shape[0]), _assign_rows(cost)
+
+
+def _assign_rows(cost: np.ndarray) -> np.ndarray:
+    """Column matched to each row of a finite cost with rows <= cols.
+
+    Shortest augmenting paths with dual potentials (Jonker & Volgenant,
+    Computing 1987; Crouse, IEEE TAES 2016): each pass adds one row to an
+    optimal partial matching by a Dijkstra search over reduced costs
+    ``cost[i, j] - u[i] - v[j]``, which the dual update keeps non-negative.
+    """
+    num_rows, num_cols = cost.shape
+    u = np.zeros(num_rows)
+    v = np.zeros(num_cols)
+    col4row = np.full(num_rows, -1)
+    row4col = np.full(num_cols, -1)
+    for start in range(num_rows):
+        shortest = np.full(num_cols, np.inf)
+        path = np.full(num_cols, -1)
+        scanned = np.zeros(num_cols, dtype=bool)
+        i, dist = start, 0.0
+        while True:
+            reduced = dist + cost[i] - u[i] - v
+            better = ~scanned & (reduced < shortest)
+            shortest[better] = reduced[better]
+            path[better] = i
+            j = int(np.argmin(np.where(scanned, np.inf, shortest)))
+            dist = shortest[j]
+            scanned[j] = True
+            if row4col[j] < 0:
+                break
+            i = row4col[j]
+        u[start] += dist
+        inner = np.flatnonzero(scanned & (row4col >= 0))
+        u[row4col[inner]] += dist - shortest[inner]
+        v[scanned] -= dist - shortest[scanned]
+        while True:  # flip the matching along the path that ends in column j
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == start:
+                break
+    return col4row
 
 
 def clustering_accuracy(pred: np.ndarray, truth: np.ndarray) -> float:

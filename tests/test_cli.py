@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -355,3 +358,22 @@ def test_eval_rejects_bad_assignment(tmp_path):
     code, _, _ = run_cli(["eval", "--data", str(FIXTURE_DIR),
                           "--assignment", str(tmp_path / "missing.csv")])
     assert code == 2
+
+    for bad in ("inf", "-inf", "1e300", "9.3e18"):
+        huge = tmp_path / "huge.csv"
+        huge.write_text("".join(f"{bad}\n" if i == 0 else "0\n"
+                                for i in range(60)))
+        code, _, stderr = run_cli(["eval", "--data", str(FIXTURE_DIR),
+                                   "--assignment", str(huge)])
+        assert code == 2 and "64-bit" in stderr, bad
+
+
+def test_cli_import_loads_neither_scipy_nor_executor():
+    # every CLI call pays this import; scipy.optimize alone took ~0.5 s
+    probe = ("import mvncd.cli, sys; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy' or m == 'concurrent.futures'))")
+    src_dir = os.path.dirname(os.path.dirname(mvncd.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src_dir)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

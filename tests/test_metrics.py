@@ -76,6 +76,35 @@ def test_hungarian_single_cell():
     assert list(rows) == [0] and list(cols) == [0]
 
 
+def brute_force_min_cost(cost):
+    """Least total cost over every injection of the smaller side."""
+    if cost.shape[0] > cost.shape[1]:
+        cost = cost.T
+    r, c = cost.shape
+    perms = np.array(list(itertools.permutations(range(c), r)))
+    return cost[np.arange(r), perms].sum(axis=1).min()
+
+
+def test_hungarian_matches_brute_force():
+    rng = np.random.default_rng(11)
+    shapes = [(1, 1), (1, 5), (6, 1), (1, 7), (7, 1), (7, 7)]
+    shapes += [tuple(int(s) for s in rng.integers(1, 8, size=2))
+               for _ in range(300)]
+    for t, shape in enumerate(shapes):
+        if t % 3 == 0:  # few distinct values: many tied optima
+            cost = rng.integers(-2, 3, size=shape).astype(float)
+        elif t % 3 == 1:
+            cost = rng.normal(scale=10.0, size=shape)
+        else:  # negated counts, as clustering_accuracy passes them
+            cost = -rng.integers(0, 30, size=shape).astype(float)
+        rows, cols = hungarian_match(cost)
+        assert rows.size == cols.size == min(shape)
+        assert np.all(np.diff(rows) > 0)
+        assert np.unique(cols).size == cols.size
+        assert cost[rows, cols].sum() == pytest.approx(
+            brute_force_min_cost(cost), abs=1e-9)
+
+
 def test_hungarian_rejects_bad_input():
     with pytest.raises(ValueError):
         hungarian_match(np.zeros((0, 3)))
