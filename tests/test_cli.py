@@ -144,6 +144,35 @@ def test_run_refuses_constant_view(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_run_refuses_malformed_manifest_field(tmp_path):
+    write_dataset(generate_synthetic(SyntheticSpec()), tmp_path / "data")
+    manifest = tmp_path / "data" / "manifest.json"
+    manifest.write_text(json.dumps(dict(json.loads(manifest.read_text()),
+                                        views=5)))
+    code, _, stderr = run_cli(["run", "--data", str(tmp_path / "data"),
+                               "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "'views' must be a list of objects" in stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name, message", [
+    ("view_0.csv", "view 0: contains non-finite values"),
+    ("labels.csv", "labels: contains non-finite values"),
+])
+def test_run_refuses_nan_in_a_csv(tmp_path, name, message):
+    write_dataset(generate_synthetic(SyntheticSpec()), tmp_path / "data")
+    csv = tmp_path / "data" / name
+    lines = csv.read_text().splitlines()
+    lines[-1] = ",".join(["nan"] * len(lines[-1].split(",")))
+    csv.write_text("\n".join(lines) + "\n")
+    code, _, stderr = run_cli(["run", "--data", str(tmp_path / "data"),
+                               "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert message in stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_no_command():
     code, stdout, _ = run_cli([])
     assert code == 2
@@ -369,9 +398,11 @@ def test_eval_rejects_bad_assignment(tmp_path):
 
 
 def test_cli_import_loads_neither_scipy_nor_executor():
-    # every CLI call pays this import; scipy.optimize alone took ~0.5 s
+    # every CLI call pays this import; scipy.optimize alone took ~0.5 s, and
+    # the parallel CSV parse needs nothing beyond os and io
     probe = ("import mvncd.cli, sys; print(sorted(m for m in sys.modules "
-             "if m.split('.')[0] == 'scipy' or m == 'concurrent.futures'))")
+             "if m.split('.')[0] in ('scipy', 'multiprocessing') "
+             "or m == 'concurrent.futures'))")
     src_dir = os.path.dirname(os.path.dirname(mvncd.cli.__file__))
     env = dict(os.environ, PYTHONPATH=src_dir)
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,

@@ -1,8 +1,16 @@
 import json
+import os
+import re
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
+from conftest import FIXTURE_DIR
+
+from mvncd import dataset
 from mvncd.baselines import concat_kmeans_ncd
 from mvncd.dataset import (
     DatasetError,
@@ -239,6 +247,9 @@ def test_load_corrupt_manifest(tmp_path):
     (tmp_path / "manifest.json").write_text("{not json")
     with pytest.raises(DatasetError):
         load_dataset(tmp_path)
+    (tmp_path / "manifest.json").write_text("[1, 2]")
+    with pytest.raises(DatasetError, match="must be a JSON object"):
+        load_dataset(tmp_path)
 
 
 def test_load_missing_field(tmp_path):
@@ -267,3 +278,145 @@ def test_load_known_classes_override(tmp_path):
     write_dataset(_tiny(), tmp_path)
     ds = load_dataset(tmp_path, known_classes=[2, 3])
     assert list(ds.known_classes) == [2, 3]
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("views", 5, "'views' must be a list of objects"),
+    ("views", ["view_0.csv"], "'views' must be a list of objects"),
+    ("labels", None, "manifest: field 'labels' must be a string, got NoneType"),
+    ("labels", 5, "manifest: field 'labels' must be a string, got int"),
+    ("num_classes", [10], "manifest: field 'num_classes' must be an integer, got list"),
+    ("num_classes", "4", "manifest: field 'num_classes' must be an integer, got str"),
+    ("num_classes", 4.0, "manifest: field 'num_classes' must be an integer, got float"),
+    ("num_classes", True, "manifest: field 'num_classes' must be an integer, got bool"),
+    ("path", 5, "view 0: field 'path' must be a string, got int"),
+    ("dim", "5", "view 0: field 'dim' must be an integer, got str"),
+])
+def test_load_refuses_malformed_field_types(tmp_path, field, value, message):
+    write_dataset(_tiny(), tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    (manifest["views"][0] if field in ("path", "dim") else manifest)[field] = value
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(DatasetError, match=re.escape(message)):
+        load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("content", ["", "# header only\n\n"])
+def test_load_refuses_csv_without_data_rows(tmp_path, content):
+    write_dataset(_tiny(), tmp_path)
+    (tmp_path / "view_1.csv").write_text(content)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # numpy's own warning must not leak
+        with pytest.raises(DatasetError,
+                           match=r"^view 1: no data rows in .*view_1\.csv$"):
+            load_dataset(tmp_path)
+
+
+# --- parallel CSV parse ---
+
+@pytest.fixture
+def split_ranges(monkeypatch):
+    """Split every file into ``cpus`` byte ranges, however small."""
+    def split(cpus):
+        monkeypatch.setattr(dataset, "_MIN_RANGE_BYTES", 1)
+        monkeypatch.setattr(dataset, "_usable_cpus", lambda: cpus)
+    return split
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _rows(rng, n, d):
+    values = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-5, 6, (n, d))
+    return [",".join(f"{v:.17g}" for v in row) for row in values]
+
+
+def _parse_cases():
+    rows = _rows(np.random.default_rng(0), 9, 3)
+    return {
+        "lf": ("\n".join(rows) + "\n", 3),
+        "crlf": ("\r\n".join(rows) + "\r\n", 3),
+        "no trailing newline": ("\n".join(rows), 4),
+        "blank and comment lines": (
+            "# header\n" + "\n".join(rows[:4]) + "\n\n# mid\n"
+            + rows[4] + " # trailing comment\n" + "\n".join(rows[5:]) + "\n\n", 3),
+        # two equal lines: the nominal cut falls right after the first newline
+        "cut on a line end": ("1.25,2\n3.75,4\n", 2),
+        "more ranges than rows": ("1,2\n3,4\n5,6\n", 8),
+    }
+
+
+@pytest.mark.parametrize("case", list(_parse_cases()))
+def test_parallel_parse_bit_identical_to_loadtxt(tmp_path, split_ranges, case):
+    text, cpus = _parse_cases()[case]
+    path = tmp_path / "view.csv"
+    path.write_bytes(text.encode())
+    split_ranges(cpus)
+    parallel = dataset._parse_in_ranges(path)
+    _assert_no_child_left()
+    assert parallel is not None, "the file was not split"
+    expected = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+    assert parallel.shape == expected.shape
+    assert parallel.tobytes() == expected.tobytes()
+    assert dataset._read_csv_matrix(path, "view 0").tobytes() == expected.tobytes()
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("fault", ["1.0,banana,3", "1.0,2.0", "1.0,nan,3"])
+def test_parallel_parse_fault_in_later_range_reads_as_serial(
+        tmp_path, monkeypatch, split_ranges, fault):
+    ds = _tiny(per_class=6, dims=(3, 4))
+    write_dataset(ds, tmp_path)
+    view = tmp_path / "view_0.csv"
+    view.write_text(view.read_text() + fault + "\n")
+    labels = tmp_path / "labels.csv"
+    labels.write_text(labels.read_text() + "0\n")
+    with pytest.raises(DatasetError) as serial:
+        load_dataset(tmp_path)
+    split_ranges(4)
+    with pytest.raises(DatasetError) as parallel:
+        load_dataset(tmp_path)
+    _assert_no_child_left()
+    assert str(parallel.value) == str(serial.value)
+    assert str(serial.value).startswith("view 0: ")
+
+
+def test_parallel_parse_gives_up_on_children_still_writing(tmp_path):
+    # Two equal-length halves with 4 and 3 columns: both children parse, and
+    # each has more rows to send than a pipe buffers (64 KiB), so both are
+    # blocked writing when the parent refuses the column mismatch. Run in a
+    # subprocess so that a deadlock fails by timeout instead of hanging.
+    path = tmp_path / "view.csv"
+    path.write_text("1.5,2.5,3.5,4.5\n" * 4000 + "1.25,2.25,3.255\n" * 4000)
+    code = (
+        "import os, sys\n"
+        "from pathlib import Path\n"
+        "from mvncd import dataset\n"
+        "dataset._MIN_RANGE_BYTES = 1\n"
+        "dataset._usable_cpus = lambda: 2\n"
+        "assert dataset._parse_in_ranges(Path(sys.argv[1])) is None\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "except ChildProcessError:\n"
+        "    print('reaped')\n"
+    )
+    src = os.path.dirname(os.path.dirname(dataset.__file__))
+    out = subprocess.run([sys.executable, "-c", code, str(path)],
+                         env=dict(os.environ, PYTHONPATH=src), timeout=60,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "reaped\n"
+    with pytest.raises(DatasetError, match="number of columns changed"):
+        dataset._read_csv_matrix(path, "view 0")
+
+
+def test_small_files_never_fork(tmp_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("a small file was split")
+    monkeypatch.setattr(os, "fork", no_fork)
+    sizes = [p.stat().st_size for p in FIXTURE_DIR.glob("*.csv")]
+    assert max(sizes) < 2 * dataset._MIN_RANGE_BYTES
+    load_dataset(FIXTURE_DIR)
+    write_dataset(_tiny(per_class=50, dims=(30, 30)), tmp_path)
+    load_dataset(tmp_path)
