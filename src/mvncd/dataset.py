@@ -115,10 +115,6 @@ def make_dataset(
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.size == 0:
         raise DatasetError("labels must be a non-empty 1-d array")
-    if not np.issubdtype(labels.dtype, np.integer):
-        if not np.all(labels == np.floor(labels)):
-            raise DatasetError("labels must be integers")
-        labels = labels.astype(int)
     n = labels.size
     arrays = []
     for i, arr in enumerate(view_arrays):
@@ -135,23 +131,26 @@ def make_dataset(
     k = int(num_classes)
     if k < 2:
         raise DatasetError(f"num_classes must be >= 2, got {k}")
-    if labels.min() < 0 or labels.max() >= k:
-        raise DatasetError(f"labels must lie in [0, {k}), got range "
-                           f"[{labels.min()}, {labels.max()}]")
+    labels = _integer_labels(labels, k)
 
+    # one mask over the class ids gives the known, novel and labeled sets
+    # (np.unique, np.setdiff1d and np.isin would import numpy.ma)
     if known_classes is None:
-        known, novel = split_known_novel(labels, k)
+        known_ids = split_known_novel(labels, k)[0]
     else:
-        known = np.unique(np.asarray(known_classes, dtype=int))
-        if known.size == 0:
+        known_ids = np.asarray(known_classes, dtype=int).ravel()
+        if known_ids.size == 0:
             raise DatasetError("known_classes must not be empty")
-        if known.min() < 0 or known.max() >= k:
+        if known_ids.min() < 0 or known_ids.max() >= k:
             raise DatasetError(f"known class ids must lie in [0, {k})")
-        novel = np.setdiff1d(np.arange(k), known)
-        if novel.size == 0:
-            raise DatasetError("at least one class must remain novel")
+    is_known_class = np.zeros(k, dtype=bool)
+    is_known_class[known_ids] = True
+    known = np.flatnonzero(is_known_class)
+    novel = np.flatnonzero(~is_known_class)
+    if novel.size == 0:
+        raise DatasetError("at least one class must remain novel")
 
-    is_known = np.isin(labels, known)
+    is_known = is_known_class[labels]
     labeled = np.flatnonzero(is_known)
     unlabeled = np.flatnonzero(~is_known)
     views = tuple(ViewMatrix(data=a, view_index=i) for i, a in enumerate(arrays))
@@ -164,6 +163,21 @@ def make_dataset(
         labeled_indices=labeled,
         unlabeled_indices=unlabeled,
     )
+
+
+def _integer_labels(labels: np.ndarray, k: int) -> np.ndarray:
+    """``labels`` as integers in [0, k), or a DatasetError. The range is
+    checked before a float array is cast, so a value beyond the integer
+    range is reported as itself and not as what the cast made of it."""
+    is_int = np.issubdtype(labels.dtype, np.integer)
+    if not is_int and not np.all(labels == np.floor(labels)):
+        raise DatasetError("labels must be integers")
+    lo, hi = labels.min(), labels.max()
+    if lo < 0 or hi >= k:
+        fmt = "d" if is_int else ".15g"
+        raise DatasetError(f"labels must lie in [0, {k}), got range "
+                           f"[{lo:{fmt}}, {hi:{fmt}}]")
+    return labels if is_int else labels.astype(int)
 
 
 def split_known_novel(labels: np.ndarray, num_classes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -196,7 +210,10 @@ def normalize_features(ds: MultiViewDataset, mode: str = "zscore") -> MultiViewD
             mean = data.mean(axis=1, keepdims=True)
             std = data.std(axis=1, keepdims=True)
             scale = np.where(std > 0, std, 1.0)
-            arrays.append((data - mean) / scale)
+            # divided in place: one data-sized array per view, not two
+            out = data - mean
+            out /= scale
+            arrays.append(out)
         elif mode == "l2":
             norms = np.linalg.norm(data, axis=0, keepdims=True)
             scale = np.where(norms > 0, norms, 1.0)
@@ -276,7 +293,7 @@ def load_dataset(path: str | Path, known_classes: Sequence[int] | None = None) -
         raise DatasetError("labels: contains non-finite values")
     if not np.all(labels == np.floor(labels)):
         raise DatasetError("labels file contains non-integer values")
-    return make_dataset(arrays, labels.astype(int), num_classes, known_classes)
+    return make_dataset(arrays, labels, num_classes, known_classes)
 
 
 def _require(fields: dict, key: str, kind: type, what: str):

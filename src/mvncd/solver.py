@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mvncd.baselines import kmeans_fit
+from mvncd.baselines import kmeans_fit, stacked_samples
 from mvncd.dataset import (
     DatasetError,
     MultiViewDataset,
@@ -252,8 +252,8 @@ def _initial_assignment(prob: _Problem, cfg: SolverConfig) -> np.ndarray:
     if n_u:
         k_u = k - prob.num_known
         if cfg.init_y_novel == "kmeans" and n_u >= k_u:
-            stacked = np.vstack([x[:, prob.unlabeled] for x in prob.xs])
-            km = kmeans_fit(stacked, k_u, seed=int(rng.integers(2**32)))
+            stacked = stacked_samples(prob.xs, prob.unlabeled)
+            km = kmeans_fit(stacked.T, k_u, seed=int(rng.integers(2**32)))
             y[prob.unlabeled] = prob.num_known + km.assignment
         else:
             y[prob.unlabeled] = rng.integers(prob.num_known, k, size=n_u)

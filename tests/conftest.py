@@ -1,9 +1,10 @@
 """Shared helpers: random problem instances, a naive objective recomputation
 that shares nothing with the solver's fast paths, a structural check on
-solver states, and an in-process CLI driver."""
+solver states, an in-process CLI driver and a traced allocation peak."""
 
 import contextlib
 import io
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -98,3 +99,15 @@ def run_cli(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli_main(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+def traced_peak(fn, *args):
+    """Bytes of the highest traced allocation level reached inside
+    ``fn(*args)``, above what was live when it was called."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from mvncd.baselines import concat_kmeans_ncd, kmeans_fit
+from conftest import traced_peak
+
+from mvncd.baselines import concat_kmeans_ncd, kmeans_fit, stacked_samples
 from mvncd.dataset import SyntheticSpec, generate_synthetic
 from mvncd.metrics import clustering_accuracy
 
@@ -73,3 +75,25 @@ def test_concat_baseline_single_cluster():
     truth = ds.labels[ds.unlabeled_indices]
     top = np.bincount(truth).max() / truth.size
     assert clustering_accuracy(pred, truth) == pytest.approx(top)
+
+
+def test_kmeans_allocates_no_copy_of_its_input():
+    # five balanced, well-separated blobs, so each centroid update gathers
+    # a fifth of the points; a scaled or re-laid-out copy of all of them
+    # would reach points.nbytes
+    rng = np.random.default_rng(0)
+    centers = 20.0 * rng.standard_normal((5, 300))
+    samples = np.repeat(centers, 2000, axis=0) + rng.standard_normal((10_000, 300))
+    points = samples.T
+    peak = traced_peak(kmeans_fit, points, 5, 0)
+    assert peak < 0.5 * points.nbytes
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_stacked_samples_is_the_transposed_vstack(layout):
+    rng = np.random.default_rng(1)
+    xs = [np.asarray(rng.standard_normal((d, 2500)), order=layout) for d in (3, 7)]
+    cols = np.sort(rng.choice(2500, size=2100, replace=False))
+    out = stacked_samples(xs, cols)
+    assert out.flags.c_contiguous
+    assert np.array_equal(out.T, np.vstack([x[:, cols] for x in xs]))

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -127,6 +128,38 @@ def test_run_refuses_non_monotone_trace(tmp_path, monkeypatch):
     assert code == 3
     assert "monoton" in stderr
     assert not (tmp_path / "report.json").exists()
+
+
+def test_run_refuses_label_beyond_integer_range(tmp_path):
+    write_dataset(generate_synthetic(SyntheticSpec()), tmp_path / "data")
+    csv = tmp_path / "data" / "labels.csv"
+    lines = csv.read_text().splitlines()
+    lines[0] = "1e300"
+    csv.write_text("\n".join(lines) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, stderr = run_cli(["run", "--data", str(tmp_path / "data"),
+                                   "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "labels must lie in [0, 4), got range [0, 1e+300]" in stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_and_sweep_leave_numpy_ma_unloaded(tmp_path):
+    # numpy.ma costs 10-14 ms per CLI call; np.unique, np.setdiff1d and
+    # np.isin import it on first use
+    probe = ("import json, sys, mvncd.cli\n"
+             "assert mvncd.cli.main(json.loads(sys.argv[1])) == 0\n"
+             "print('numpy.ma' in sys.modules)")
+    src_dir = os.path.dirname(os.path.dirname(mvncd.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src_dir)
+    for argv in (["run", "--data", str(FIXTURE_DIR), "--out", str(tmp_path / "run")],
+                 ["sweep", "--jobs", "1", "--data", str(FIXTURE_DIR),
+                  "--out", str(tmp_path / "sweep")]):
+        out = subprocess.run([sys.executable, "-c", probe, json.dumps(argv)],
+                             env=env, check=True, capture_output=True,
+                             text=True).stdout
+        assert out.splitlines()[-1] == "False", argv
 
 
 def test_run_refuses_constant_view(tmp_path):

@@ -69,6 +69,43 @@ def test_make_dataset_rejects_bad_inputs():
         make_dataset([x], labels, 4, known_classes=[7])
 
 
+@pytest.mark.parametrize("labels, shown", [
+    ([0, 1, 2, 1e300], "[0, 1e+300]"),
+    ([-1e300, 1, 2, 3], "[-1e+300, 3]"),
+    ([0, 1, 2, np.inf], "[0, inf]"),
+    ([0, 9.3e18, 2, 3], "[0, 9.3e+18]"),
+    ([-1.0, 1, 2, 3], "[-1, 3]"),
+    (np.array([-1, 1, 2, 3]), "[-1, 3]"),
+])
+def test_label_range_checked_before_integer_cast(labels, shown):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # numpy's "invalid value ... cast"
+        with pytest.raises(DatasetError,
+                           match=re.escape(f"labels must lie in [0, 4), got range {shown}")):
+            make_dataset([np.zeros((3, 4))], labels, 4)
+
+
+def test_class_sets_match_set_routines():
+    # the known, novel and labeled sets come from one mask over the class
+    # ids; they equal what np.unique, np.setdiff1d and np.isin give
+    rng = np.random.default_rng(4)
+    for _ in range(30):
+        k = int(rng.integers(2, 9))
+        labels = rng.integers(0, k, size=25)
+        given = rng.integers(0, k, size=int(rng.integers(1, 2 * k)))
+        if np.unique(given).size == k:
+            continue
+        ds = make_dataset([np.zeros((2, 25))], labels, k, known_classes=given)
+        known = np.unique(given)
+        assert ds.known_classes.dtype == known.dtype
+        assert np.array_equal(ds.known_classes, known)
+        assert np.array_equal(ds.novel_classes, np.setdiff1d(np.arange(k), known))
+        assert np.array_equal(ds.labeled_indices,
+                              np.flatnonzero(np.isin(labels, known)))
+        assert np.array_equal(ds.unlabeled_indices,
+                              np.flatnonzero(~np.isin(labels, known)))
+
+
 def test_known_classes_override():
     x = np.zeros((3, 4))
     labels = np.array([0, 1, 2, 3])

@@ -5,7 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from conftest import naive_objective, random_dataset, validate_state
+from conftest import naive_objective, random_dataset, traced_peak, validate_state
 
 from mvncd.dataset import (
     DatasetError,
@@ -16,6 +16,7 @@ from mvncd.dataset import (
     normalize_features,
 )
 from mvncd import solver
+from mvncd.baselines import kmeans_fit
 from mvncd.metrics import clustering_accuracy
 from mvncd.solver import (
     ModelState,
@@ -130,6 +131,49 @@ def test_initialize_random_mode():
     state = initialize(ds, SolverConfig(seed=1, init_y_novel="random"))
     validate_state(state)
     assert state.y[ds.unlabeled_indices].min() >= ds.num_known
+
+
+def _shuffled_blobs(layout, per_class=300, dims=(40, 60), separation=4.0,
+                    seed=0):
+    """Blob data with the samples in random order, so the unlabeled
+    indices are scattered, and the views in ``layout`` order ("F" is what
+    load_dataset returns)."""
+    base = generate_synthetic(SyntheticSpec(views=len(dims), classes=8,
+                                            per_class=per_class, dims=dims,
+                                            separation=separation,
+                                            noise=1.0, seed=seed))
+    order = np.random.default_rng(seed).permutation(base.num_samples)
+    return make_dataset([np.asarray(v.data[:, order], order=layout)
+                         for v in base.views], base.labels[order], 8)
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_initial_assignment_is_kmeans_on_stacked_unlabeled_views(layout):
+    # the benchmark's replay runs k-means on this np.vstack input and
+    # requires the same assignment as initialization's
+    for seed in (0, 1):
+        cfg = SolverConfig(seed=seed)
+        prob = solver._build_problem(_shuffled_blobs(layout, seed=seed), cfg)
+        unlabeled = prob.unlabeled
+        assert all(x.flags[f"{layout}_CONTIGUOUS"] for x in prob.xs)
+        # scattered, and more than one block of stacked_samples' gather
+        assert np.any(np.diff(unlabeled) > 1) and unlabeled.size > 1024
+        stacked = np.vstack([x[:, unlabeled] for x in prob.xs])
+        km_seed = int(np.random.default_rng(seed).integers(2**32))
+        km = kmeans_fit(stacked, prob.num_classes - prob.num_known, km_seed)
+        y = solver._initial_assignment(prob, cfg)
+        assert np.array_equal(y[unlabeled], prob.num_known + km.assignment)
+
+
+def test_initial_assignment_holds_one_copy_of_the_kmeans_input():
+    # well separated, so k-means finds the four balanced novel classes and
+    # each centroid update gathers a quarter of the input
+    cfg = SolverConfig()
+    prob = solver._build_problem(_shuffled_blobs("F", per_class=1000,
+                                                 dims=(100, 100, 100),
+                                                 separation=20.0), cfg)
+    input_bytes = prob.unlabeled.size * sum(x.shape[0] for x in prob.xs) * 8
+    assert traced_peak(solver._initial_assignment, prob, cfg) < 1.5 * input_bytes
 
 
 def test_leading_basis_spans_top_singular_subspace():
