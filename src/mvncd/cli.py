@@ -13,13 +13,13 @@ import dataclasses
 import json
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
 import mvncd
 from mvncd.dataset import (
+    NORMALIZATIONS,
     DatasetError,
     SyntheticSpec,
     generate_synthetic,
@@ -104,8 +104,7 @@ def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--max-iter", type=int, default=100)
     sub.add_argument("--tol", type=float, default=1e-7)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--normalize", choices=("zscore", "l2", "none"),
-                     default="zscore")
+    sub.add_argument("--normalize", choices=NORMALIZATIONS, default="zscore")
     sub.add_argument("--init-y", choices=("kmeans", "random"), default="kmeans")
     sub.add_argument("--ablate-alpha", action="store_true")
     sub.add_argument("--ablate-labeled", action="store_true")
@@ -169,8 +168,18 @@ def _execute(ds, cfg) -> tuple[dict, FitResult]:
     return report, result
 
 
+def _load_for_fit(args):
+    """The dataset as ``fit`` will read it. The views are normalized in
+    place while loading, so no raw copy stays alive through the fits;
+    ``--ablate-labeled`` normalizes over the unlabeled samples only, so it
+    loads the raw views and leaves that to ``fit``."""
+    mode = "none" if args.ablate_labeled else args.normalize
+    return load_dataset(args.data, known_classes=args.known_classes,
+                        normalize=mode)
+
+
 def cmd_run(args) -> int:
-    ds = load_dataset(args.data, known_classes=args.known_classes)
+    ds = _load_for_fit(args)
     cfg = _config_from_args(args, args.lambda1, args.lambda2)
     report, result = _execute(ds, cfg)
     if not is_monotone(result.objective_trace):
@@ -208,7 +217,7 @@ def cmd_sweep(args) -> int:
         raise ValueError("each lambda grid needs at least one value")
     # every cell shares these settings, so an error in them refuses the sweep
     base = _config_from_args(args, 0.0, 0.0)
-    ds = load_dataset(args.data, known_classes=args.known_classes)
+    ds = _load_for_fit(args)
     out = Path(args.out)
     cells = [(l1, l2) for l1 in args.lambda1_grid for l2 in args.lambda2_grid]
 
@@ -236,19 +245,27 @@ def cmd_sweep(args) -> int:
 
     rows = ["lambda1,lambda2,acc,nmi,purity,status"]
     for (l1, l2), report, status in outcomes:
+        t1, t2 = _grid_text(l1), _grid_text(l2)
         if report is not None:
-            name = f"run_l1_{l1:g}_l2_{l2:g}.json"
+            name = f"run_l1_{t1}_l2_{t2}.json"
             _write_atomic(out / name, json.dumps(report, indent=2) + "\n")
             m = report["metrics"]
-            rows.append(f"{l1:g},{l2:g},{m['acc']:.12g},{m['nmi']:.12g},"
+            rows.append(f"{t1},{t2},{m['acc']:.12g},{m['nmi']:.12g},"
                         f"{m['purity']:.12g},{status}")
         else:
-            rows.append(f"{l1:g},{l2:g},,,,\"{status}\"")
-            print(f"cell lambda1={l1:g} lambda2={l2:g}: {status}",
-                  file=sys.stderr)
+            rows.append(f"{t1},{t2},,,,\"{status}\"")
+            print(f"cell lambda1={t1} lambda2={t2}: {status}", file=sys.stderr)
     _write_atomic(out / "summary.csv", "\n".join(rows) + "\n")
     print(f"sweep of {len(cells)} cells written to {out / 'summary.csv'}")
     return EXIT_OK
+
+
+def _grid_text(x: float) -> str:
+    """``x`` in a report name or summary row: the short ``:g`` text when it
+    reads back as ``x``, else the round-trip ``repr``, so two grid values
+    never share a name."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(x)
 
 
 def cmd_synth(args) -> int:
@@ -300,8 +317,11 @@ def cmd_eval(args) -> int:
 
 
 def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a new file renamed over it. The
+    file is created with mode 0666, so it gets the umask's permissions."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".tmp")
+    tmp = path.parent / f"{path.name}.tmp{os.urandom(8).hex()}"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)

@@ -11,7 +11,7 @@ import io
 import json
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -52,6 +52,8 @@ class MultiViewDataset:
     (novel-class) samples are kept for evaluation only; the solver never
     reads them. ``labeled_indices`` are exactly the samples whose class is
     in ``known_classes``; the rest form ``unlabeled_indices``.
+    ``normalization`` is the mode last applied to the views ("none" when
+    nothing is known about them).
     """
 
     views: tuple[ViewMatrix, ...]
@@ -61,6 +63,7 @@ class MultiViewDataset:
     novel_classes: np.ndarray
     labeled_indices: np.ndarray
     unlabeled_indices: np.ndarray
+    normalization: str = "none"
 
     @property
     def num_views(self) -> int:
@@ -194,33 +197,52 @@ def split_known_novel(labels: np.ndarray, num_classes: int) -> tuple[np.ndarray,
     return np.arange(half), np.arange(half, k)
 
 
+NORMALIZATIONS = ("zscore", "l2", "none")
+
+
 def normalize_features(ds: MultiViewDataset, mode: str = "zscore") -> MultiViewDataset:
     """Return a copy of ``ds`` with per-view normalized features.
 
     zscore: each feature row centered and scaled to unit variance over all
     samples; zero-variance rows become all-zero. l2: each sample column
     scaled to unit norm; zero columns are left unchanged. none: identity.
+    A dataset whose ``normalization`` already is ``mode`` is returned as
+    it is, the same object.
     """
-    if mode == "none":
+    _check_mode(mode)
+    if mode == "none" or mode == ds.normalization:
         return ds
-    arrays = []
+    return _normalized(ds, mode, in_place=False)
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in NORMALIZATIONS:
+        raise DatasetError(f"unknown normalization mode: {mode!r}")
+
+
+def _normalized(ds: MultiViewDataset, mode: str, in_place: bool) -> MultiViewDataset:
+    """``ds`` with its views normalized under ``mode`` (zscore or l2), into
+    new arrays or, with ``in_place``, into the views' own arrays. A new
+    array is laid out as its source, so both ways make the same ufunc calls
+    on the same layout and give the same bits."""
+    views = []
     for view in ds.views:
         data = view.data
+        out = data if in_place else np.empty_like(data)
         if mode == "zscore":
             mean = data.mean(axis=1, keepdims=True)
             std = data.std(axis=1, keepdims=True)
-            scale = np.where(std > 0, std, 1.0)
-            # divided in place: one data-sized array per view, not two
-            out = data - mean
-            out /= scale
-            arrays.append(out)
-        elif mode == "l2":
-            norms = np.linalg.norm(data, axis=0, keepdims=True)
-            scale = np.where(norms > 0, norms, 1.0)
-            arrays.append(data / scale)
+            np.subtract(data, mean, out=out)
+            np.divide(out, np.where(std > 0, std, 1.0), out=out)
         else:
-            raise DatasetError(f"unknown normalization mode: {mode!r}")
-    return make_dataset(arrays, ds.labels, ds.num_classes, ds.known_classes)
+            norms = np.linalg.norm(data, axis=0, keepdims=True)
+            np.divide(data, np.where(norms > 0, norms, 1.0), out=out)
+        # a mean that overflows leaves infinities; min and max propagate
+        # them and NaN without a data-sized mask
+        if not (np.isfinite(out.min()) and np.isfinite(out.max())):
+            raise DatasetError(f"view {view.view_index}: contains non-finite values")
+        views.append(ViewMatrix(data=out, view_index=view.view_index))
+    return replace(ds, views=tuple(views), normalization=mode)
 
 
 def encode_onehot(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -241,7 +263,8 @@ def unlabeled_subset(ds: MultiViewDataset) -> MultiViewDataset:
     return make_dataset(arrays, ds.labels[cols], ds.num_classes, ds.known_classes)
 
 
-def load_dataset(path: str | Path, known_classes: Sequence[int] | None = None) -> MultiViewDataset:
+def load_dataset(path: str | Path, known_classes: Sequence[int] | None = None,
+                 normalize: str = "none") -> MultiViewDataset:
     """Load a dataset from a manifest file (or a directory containing
     ``manifest.json``).
 
@@ -249,7 +272,12 @@ def load_dataset(path: str | Path, known_classes: Sequence[int] | None = None) -
     their expected feature dimension, a labels CSV (one integer per line)
     and the total number of classes. The known/novel split is not stored;
     it is derived by split_known_novel unless ``known_classes`` overrides it.
+
+    ``normalize`` is applied in place to the parsed views, so no raw copy
+    stays behind; the result equals ``normalize_features(load_dataset(path),
+    normalize)`` bit for bit.
     """
+    _check_mode(normalize)
     path = Path(path)
     manifest_path = path / MANIFEST_NAME if path.is_dir() else path
     if not manifest_path.is_file():
@@ -293,7 +321,8 @@ def load_dataset(path: str | Path, known_classes: Sequence[int] | None = None) -
         raise DatasetError("labels: contains non-finite values")
     if not np.all(labels == np.floor(labels)):
         raise DatasetError("labels file contains non-integer values")
-    return make_dataset(arrays, labels, num_classes, known_classes)
+    ds = make_dataset(arrays, labels, num_classes, known_classes)
+    return ds if normalize == "none" else _normalized(ds, normalize, in_place=True)
 
 
 def _require(fields: dict, key: str, kind: type, what: str):

@@ -19,6 +19,7 @@ import numpy as np
 
 from mvncd.baselines import kmeans_fit, stacked_samples
 from mvncd.dataset import (
+    NORMALIZATIONS,
     DatasetError,
     MultiViewDataset,
     encode_onehot,
@@ -63,7 +64,7 @@ class SolverConfig:
             raise ValueError("max_iter must be >= 1")
         if self.init_y_novel not in ("kmeans", "random"):
             raise ValueError(f"unknown init_y_novel: {self.init_y_novel!r}")
-        if self.normalize not in ("zscore", "l2", "none"):
+        if self.normalize not in NORMALIZATIONS:
             raise ValueError(f"unknown normalize mode: {self.normalize!r}")
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import traced_peak
 
+from mvncd import baselines
 from mvncd.baselines import concat_kmeans_ncd, kmeans_fit, stacked_samples
 from mvncd.dataset import SyntheticSpec, generate_synthetic
 from mvncd.metrics import clustering_accuracy
@@ -97,3 +98,21 @@ def test_stacked_samples_is_the_transposed_vstack(layout):
     out = stacked_samples(xs, cols)
     assert out.flags.c_contiguous
     assert np.array_equal(out.T, np.vstack([x[:, cols] for x in xs]))
+
+
+@pytest.mark.parametrize("n, d, k", [
+    (50, 5, 3), (400, 1, 4), (300, 7, 1), (3, 40, 2), (1, 1, 1),
+    (2000, 300, 10), (20_000, 100, 2), (513, 129, 20),
+])
+def test_sq_dist_bits_equal_the_direct_formula(n, d, k):
+    # the samples sit on the other side of the GEMM than in x @ c.T; the
+    # distances must keep their bits
+    rng = np.random.default_rng(n + d + k)
+    x = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-2, 3)
+    c = x[rng.choice(n, size=k, replace=False)] + rng.standard_normal((k, d))
+    xsq = np.einsum("ij,ij->i", x, x)
+    csq = np.einsum("ij,ij->i", c, c)
+    direct = np.maximum(xsq[:, None] - 2.0 * (x @ c.T) + csq[None, :], 0.0)
+    got = baselines._sq_dist(x, xsq, c)
+    assert got.shape == (n, k)
+    assert np.ascontiguousarray(got).tobytes() == direct.tobytes()

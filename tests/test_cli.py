@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 import warnings
@@ -130,6 +131,87 @@ def test_run_refuses_non_monotone_trace(tmp_path, monkeypatch):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--normalize", "zscore"], ["--normalize", "l2"], ["--normalize", "none"],
+    ["--ablate-labeled"],
+])
+def test_run_equals_fit_on_the_views_as_stored(tmp_path, flags):
+    # run normalizes the views while it loads them (not under
+    # --ablate-labeled); its outputs are those of fit on the raw load
+    code, _, _ = run_fixture(tmp_path, *flags)
+    assert code == 0
+    args = mvncd.cli._build_parser().parse_args(
+        ["run", "--data", str(FIXTURE_DIR), "--out", str(tmp_path), *flags])
+    cfg = mvncd.cli._config_from_args(args, args.lambda1, args.lambda2)
+    result = solver.fit(load_dataset(FIXTURE_DIR), cfg)
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["objective_trace"] == result.objective_trace
+    assert report["alpha"] == list(result.alpha_trace[-1])
+    assert (tmp_path / "trace.csv").read_text() == mvncd.cli._trace_csv(result)
+    assert (tmp_path / "assignment.csv").read_text() == "".join(
+        f"{int(c)}\n" for c in result.novel_assignment)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="umask semantics are POSIX")
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_outputs_take_their_mode_from_the_umask(tmp_path, umask):
+    previous = os.umask(umask)
+    try:
+        assert run_fixture(tmp_path / "run")[0] == 0
+        assert run_cli(["sweep", "--data", str(FIXTURE_DIR),
+                        "--lambda1-grid", "1", "--lambda2-grid", "1,10",
+                        "--out", str(tmp_path / "sweep")])[0] == 0
+    finally:
+        os.umask(previous)
+    files = [p for p in tmp_path.rglob("*") if p.is_file()]
+    assert sorted(p.name for p in files) == sorted([
+        "report.json", "trace.csv", "assignment.csv",
+        "run_l1_1_l2_1.json", "run_l1_1_l2_10.json", "summary.csv"])
+    for path in files:
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, path.name
+
+
+def test_run_peak_memory_stays_near_one_copy_of_the_views(tmp_path):
+    # A fresh interpreter reads its peak RSS after the imports and after a
+    # run on 6,000 samples of 3 x 100 features (three CSVs of about 12 MB,
+    # parsed by forked children on two or more CPUs). Measured on 2 vCPUs
+    # with OpenBLAS, 3 runs each: 3.88x the views' bytes while the raw
+    # views were kept beside their normalized copy and k-means' distance
+    # product left OpenBLAS's packing pages resident; 2.54x with the views
+    # normalized in place at load and the samples on the product's
+    # small-block side.
+    pytest.importorskip("resource")
+    spec = SyntheticSpec(views=3, classes=10, per_class=600, dims=100,
+                         separation=4.0, noise=1.0, seed=0)
+    write_dataset(generate_synthetic(spec), tmp_path / "data")
+    view_bytes = 6000 * 300 * 8
+    # A process spawned by this one starts with this one's peak RSS as its
+    # own (vfork, then exec), so the probe measures in a forked child of
+    # the still small interpreter.
+    probe = (
+        "import os, resource, sys\n"
+        "if os.fork():\n"
+        "    sys.exit(os.waitstatus_to_exitcode(os.wait()[1]))\n"
+        "import mvncd.cli\n"
+        "def peak():\n"
+        "    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "before = peak()\n"
+        "code = mvncd.cli.main(['run', '--data', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print(code, before, peak(), flush=True)\n"
+        "os._exit(0)\n"
+    )
+    src_dir = os.path.dirname(os.path.dirname(mvncd.cli.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", probe, str(tmp_path / "data"), str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=src_dir), check=True, timeout=300,
+        capture_output=True, text=True).stdout
+    code, before, after = map(int, out.split()[-3:])
+    assert code == 0
+    unit = 1 if sys.platform == "darwin" else 1024   # ru_maxrss: bytes or KiB
+    ratio = (after - before) * unit / view_bytes
+    assert ratio <= 3.2, f"peak RSS grew by {ratio:.2f}x the views' bytes"
+
+
 def test_run_refuses_label_beyond_integer_range(tmp_path):
     write_dataset(generate_synthetic(SyntheticSpec()), tmp_path / "data")
     csv = tmp_path / "data" / "labels.csv"
@@ -254,8 +336,23 @@ def test_sweep_default_grid(tmp_path):
     assert len(rows) == 37  # 6 x 6 grid
     accs = [float(r.split(",")[2]) for r in rows[1:]]
     assert max(accs) - min(accs) <= 0.05
-    reports = list(tmp_path.glob("run_l1_*.json"))
-    assert len(reports) == 36
+    # the default grid's values keep their short names
+    texts = ["1", "10", "100", "1000", "10000", "100000"]
+    assert [r.split(",")[:2] for r in rows[1:]] == [[a, b] for a in texts
+                                                    for b in texts]
+    reports = {p.name for p in tmp_path.glob("run_l1_*.json")}
+    assert reports == {f"run_l1_{a}_l2_{b}.json" for a in texts for b in texts}
+
+
+def test_sweep_names_values_that_print_alike_apart(tmp_path):
+    code, _, _ = run_cli(["sweep", "--data", str(FIXTURE_DIR),
+                          "--lambda1-grid", "1,1.0000001", "--lambda2-grid", "1",
+                          "--out", str(tmp_path)])
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.glob("run_l1_*.json")) == [
+        "run_l1_1.0000001_l2_1.json", "run_l1_1_l2_1.json"]
+    rows = (tmp_path / "summary.csv").read_text().splitlines()
+    assert [r.split(",")[:2] for r in rows[1:]] == [["1", "1"], ["1.0000001", "1"]]
 
 
 def test_sweep_single_cell_matches_run(tmp_path):

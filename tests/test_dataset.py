@@ -166,9 +166,41 @@ def test_zscore_zero_variance_row():
 def test_zscore_idempotent():
     ds = _tiny(seed=5)
     once = normalize_features(ds, "zscore")
-    twice = normalize_features(once, "zscore")
+    # a new dataset of the same arrays, which does not know they are z-scored
+    again = make_dataset([v.data for v in once.views], once.labels,
+                         once.num_classes)
+    twice = normalize_features(again, "zscore")
     for a, b in zip(once.views, twice.views):
         assert np.allclose(a.data, b.data, atol=1e-10)
+
+
+@pytest.mark.parametrize("mode", ["zscore", "l2"])
+def test_normalized_dataset_is_returned_as_itself(mode):
+    ds = _tiny(seed=6)
+    assert ds.normalization == "none"
+    once = normalize_features(ds, mode)
+    assert once is not ds and once.normalization == mode
+    assert normalize_features(once, mode) is once
+    assert normalize_features(once, "none") is once
+    assert normalize_features(ds, "none") is ds
+    # the source views are left as they were
+    assert all(np.array_equal(a.data, b.data)
+               for a, b in zip(ds.views, _tiny(seed=6).views))
+    # a subset is not normalized over itself, so it claims no mode
+    assert unlabeled_subset(once).normalization == "none"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("where", ["copy", "load"])
+def test_zscore_overflow_is_refused_as_non_finite(tmp_path, where):
+    x = np.array([[1e308, 1e308, 1e308, 0.0], [1.0, 2.0, 3.0, 4.0]])
+    ds = make_dataset([x], np.array([0, 0, 1, 1]), 2)
+    with pytest.raises(DatasetError, match="view 0: contains non-finite values"):
+        if where == "copy":
+            normalize_features(ds, "zscore")
+        else:
+            write_dataset(ds, tmp_path)
+            load_dataset(tmp_path, normalize="zscore")
 
 
 def test_l2_column_example():
@@ -309,6 +341,52 @@ def test_load_bad_labels(tmp_path):
     (tmp_path / "labels.csv").write_text("0\n1\nbanana\n")
     with pytest.raises(DatasetError):
         load_dataset(tmp_path)
+
+
+@pytest.fixture(scope="module")
+def parse_paths(tmp_path_factory):
+    """A dataset whose first view is parsed by forked children (its CSV is
+    at least 4 MiB, two ranges of the minimum length) and a small one that
+    is parsed in-process."""
+    root = tmp_path_factory.mktemp("parse_paths")
+    big = generate_synthetic(SyntheticSpec(views=2, classes=4, per_class=850,
+                                           dims=(64, 5), seed=3))
+    small = _tiny(per_class=20, dims=(7, 9), seed=4)
+    write_dataset(big, root / "forked")
+    write_dataset(small, root / "in-process")
+    assert (root / "forked" / "view_0.csv").stat().st_size >= 4 << 20
+    return root
+
+
+@pytest.mark.parametrize("mode", ["zscore", "l2", "none"])
+@pytest.mark.parametrize("parse", ["forked", "in-process"])
+def test_load_normalized_equals_normalize_after_load(
+        parse_paths, monkeypatch, parse, mode):
+    monkeypatch.setattr(dataset, "_usable_cpus", lambda: 2)
+    forked = []
+    real = dataset._parse_in_ranges
+
+    def spy(path):
+        arr = real(path)
+        forked.append(arr is not None)
+        return arr
+    monkeypatch.setattr(dataset, "_parse_in_ranges", spy)
+    path = parse_paths / parse
+    loaded = load_dataset(path, normalize=mode)
+    assert any(forked) == (parse == "forked")
+    expected = normalize_features(load_dataset(path), mode)
+    assert loaded.normalization == mode
+    assert normalize_features(loaded, mode) is loaded
+    assert np.array_equal(loaded.labels, expected.labels)
+    for got, want in zip(loaded.views, expected.views):
+        assert got.data.flags.f_contiguous and want.data.flags.f_contiguous
+        assert got.data.tobytes("A") == want.data.tobytes("A")
+
+
+def test_load_refuses_unknown_normalization(tmp_path):
+    write_dataset(_tiny(), tmp_path)
+    with pytest.raises(DatasetError, match="unknown normalization mode"):
+        load_dataset(tmp_path, normalize="minmax")
 
 
 def test_load_known_classes_override(tmp_path):
