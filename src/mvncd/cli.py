@@ -24,6 +24,7 @@ from mvncd.dataset import (
     SyntheticSpec,
     generate_synthetic,
     load_dataset,
+    read_integers,
     write_dataset,
 )
 from mvncd.metrics import clustering_accuracy, nmi, purity
@@ -70,7 +71,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_solver_flags(sweep)
     sweep.add_argument("--lambda1-grid", type=_parse_floats, default=DEFAULT_GRID)
     sweep.add_argument("--lambda2-grid", type=_parse_floats, default=DEFAULT_GRID)
-    sweep.add_argument("--jobs", type=int, default=1)
+    # kept so that scripts passing "--jobs 1" still parse; any other value
+    # is refused
+    sweep.add_argument("--jobs", type=int, default=1, help=argparse.SUPPRESS)
     sweep.add_argument("--out", required=True, help="output directory")
     sweep.set_defaults(func=cmd_sweep)
 
@@ -115,9 +118,7 @@ def _parse_ints(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in str(text).split(",") if tok != "")
 
 
-def _parse_floats(text) -> tuple[float, ...]:
-    if isinstance(text, tuple):
-        return text
+def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in str(text).split(",") if tok != "")
 
 
@@ -211,52 +212,39 @@ def _trace_csv(result) -> str:
 
 
 def cmd_sweep(args) -> int:
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+    if args.jobs != 1:
+        raise ValueError(f"--jobs accepts only 1, got {args.jobs}")
     if not args.lambda1_grid or not args.lambda2_grid:
         raise ValueError("each lambda grid needs at least one value")
     # every cell shares these settings, so an error in them refuses the sweep
     base = _config_from_args(args, 0.0, 0.0)
     ds = _load_for_fit(args)
     out = Path(args.out)
-    cells = [(l1, l2) for l1 in args.lambda1_grid for l2 in args.lambda2_grid]
-
-    def one_cell(cell):
-        l1, l2 = cell
-        try:
-            cfg = dataclasses.replace(base, lambda1=l1, lambda2=l2)
-            report, result = _execute(ds, cfg)
-            if not is_monotone(result.objective_trace):
-                return cell, None, "error: non-monotone objective trace"
-            return cell, report, "ok"
-        except DatasetError:  # the data fails every cell alike: refuse it
-            raise
-        except Exception as exc:  # record the failure, keep sweeping
-            return cell, None, f"error: {exc}"
-
-    if args.jobs > 1:
-        # imported here: concurrent.futures pulls in logging, which every
-        # other call would pay for at import
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(pool.map(one_cell, cells))
-    else:
-        outcomes = [one_cell(cell) for cell in cells]
-
     rows = ["lambda1,lambda2,acc,nmi,purity,status"]
-    for (l1, l2), report, status in outcomes:
-        t1, t2 = _grid_text(l1), _grid_text(l2)
-        if report is not None:
-            name = f"run_l1_{t1}_l2_{t2}.json"
-            _write_atomic(out / name, json.dumps(report, indent=2) + "\n")
-            m = report["metrics"]
-            rows.append(f"{t1},{t2},{m['acc']:.12g},{m['nmi']:.12g},"
-                        f"{m['purity']:.12g},{status}")
-        else:
-            rows.append(f"{t1},{t2},,,,\"{status}\"")
-            print(f"cell lambda1={t1} lambda2={t2}: {status}", file=sys.stderr)
+    for l1 in args.lambda1_grid:
+        for l2 in args.lambda2_grid:
+            t1, t2 = _grid_text(l1), _grid_text(l2)
+            try:
+                cfg = dataclasses.replace(base, lambda1=l1, lambda2=l2)
+                report, result = _execute(ds, cfg)
+                status = ("ok" if is_monotone(result.objective_trace)
+                          else "error: non-monotone objective trace")
+            except DatasetError:  # the data fails every cell alike: refuse it
+                raise
+            except Exception as exc:  # record the failure, keep sweeping
+                status = f"error: {exc}"
+            if status == "ok":
+                name = f"run_l1_{t1}_l2_{t2}.json"
+                _write_atomic(out / name, json.dumps(report, indent=2) + "\n")
+                m = report["metrics"]
+                rows.append(f"{t1},{t2},{m['acc']:.12g},{m['nmi']:.12g},"
+                            f"{m['purity']:.12g},{status}")
+            else:
+                rows.append(f"{t1},{t2},,,,\"{status}\"")
+                print(f"cell lambda1={t1} lambda2={t2}: {status}",
+                      file=sys.stderr)
     _write_atomic(out / "summary.csv", "\n".join(rows) + "\n")
-    print(f"sweep of {len(cells)} cells written to {out / 'summary.csv'}")
+    print(f"sweep of {len(rows) - 1} cells written to {out / 'summary.csv'}")
     return EXIT_OK
 
 
@@ -273,9 +261,9 @@ def cmd_synth(args) -> int:
         views=args.views,
         classes=args.classes,
         per_class=args.per_class,
-        dims=args.dims if len(args.dims) > 1 else int(args.dims[0]),
+        dims=args.dims,
         separation=args.separation,
-        noise=args.noise if len(args.noise) > 1 else float(args.noise[0]),
+        noise=args.noise,
         seed=args.seed,
     )
     ds = generate_synthetic(spec)
@@ -286,17 +274,9 @@ def cmd_synth(args) -> int:
 
 def cmd_eval(args) -> int:
     ds = load_dataset(args.data, known_classes=args.known_classes)
-    path = Path(args.assignment)
-    if not path.is_file():
-        raise DatasetError(f"assignment file not found: {path}")
-    try:
-        values = np.loadtxt(path, ndmin=1, dtype=float)
-    except ValueError as exc:
-        raise DatasetError(f"could not parse assignment file: {exc}") from exc
-    if values.ndim != 1 or not np.all(values == np.floor(values)):
-        raise DatasetError("assignment file must hold one integer per line")
-    # a 64-bit float below 2**63 converts exactly; inf and larger values
-    # would cast to a bogus id
+    values = read_integers(args.assignment, "assignment")
+    # a 64-bit float below 2**63 converts exactly; larger values would cast
+    # to a bogus id
     if not np.all((values >= -2.0**63) & (values < 2.0**63)):
         raise DatasetError("assignment file holds a cluster id that is not "
                            "finite or does not fit a 64-bit integer")

@@ -312,15 +312,7 @@ def load_dataset(path: str | Path, known_classes: Sequence[int] | None = None,
             )
         arrays.append(arr.T)
 
-    labels_path = base / manifest["labels"]
-    raw = _read_csv_matrix(labels_path, "labels")
-    if raw.shape[1] != 1:
-        raise DatasetError("labels file must have one integer per line")
-    labels = raw[:, 0]
-    if not np.all(np.isfinite(labels)):
-        raise DatasetError("labels: contains non-finite values")
-    if not np.all(labels == np.floor(labels)):
-        raise DatasetError("labels file contains non-integer values")
+    labels = read_integers(base / manifest["labels"], "labels")
     ds = make_dataset(arrays, labels, num_classes, known_classes)
     return ds if normalize == "none" else _normalized(ds, normalize, in_place=True)
 
@@ -333,6 +325,22 @@ def _require(fields: dict, key: str, kind: type, what: str):
         raise DatasetError(f"{what}: field {key!r} must be {noun}, "
                            f"got {type(value).__name__}")
     return value
+
+
+def read_integers(path: str | Path, what: str) -> np.ndarray:
+    """The values of a file with one integer per line, as floats, so that a
+    caller can range-check them before any integer cast. Every refusal is a
+    DatasetError whose message starts with ``what``."""
+    path = Path(path)
+    raw = _read_csv_matrix(path, what)
+    if raw.shape[1] != 1:
+        raise DatasetError(f"{what}: must hold one integer per line")
+    values = raw[:, 0]
+    if not np.all(np.isfinite(values)):
+        raise DatasetError(f"{what}: contains non-finite values")
+    if not np.all(values == np.floor(values)):
+        raise DatasetError(f"{what}: contains non-integer values")
+    return values
 
 
 def _read_csv_matrix(path: Path, what: str) -> np.ndarray:
@@ -494,8 +502,14 @@ def generate_synthetic(spec: SyntheticSpec) -> MultiViewDataset:
         raise DatasetError("synthetic spec needs views >= 1, classes >= 2, per_class >= 1")
     if spec.separation < 0:
         raise DatasetError("separation must be >= 0")
-    dims = np.broadcast_to(np.asarray(spec.dims, dtype=int), (spec.views,))
-    noise = np.broadcast_to(np.asarray(spec.noise, dtype=float), (spec.views,))
+    per_view = []
+    for name, value, kind in (("dims", spec.dims, int), ("noise", spec.noise, float)):
+        arr = np.ravel(np.asarray(value, dtype=kind))
+        if arr.size not in (1, spec.views):
+            raise DatasetError(f"{name} needs one value or one per view "
+                               f"({spec.views}), got {arr.size}")
+        per_view.append(np.broadcast_to(arr, (spec.views,)))
+    dims, noise = per_view
     if np.any(dims < 1) or np.any(noise < 0):
         raise DatasetError("dims must be >= 1 and noise >= 0")
 

@@ -197,7 +197,7 @@ def _prepare(ds: MultiViewDataset,
     dataset object and the fields in ``_PREPARE_FIELDS`` stay the same, so
     a sweep over the lambdas prepares once. The slot holds the dataset, so
     its identity cannot be recycled while cached. Callers never mutate what
-    this returns; threads that miss together compute the same value.
+    this returns.
     """
     global _prepared
     key = tuple(getattr(cfg, name) for name in _PREPARE_FIELDS)
@@ -275,20 +275,15 @@ _SCATTER_COLUMNS = 1024   # samples per block of the scatter pass
 
 def class_stats(xs: list[np.ndarray], y: np.ndarray, k: int) -> ClassStats:
     """Class statistics of assignment ``y`` over the views ``xs``."""
-    counts, sums = _class_sums(xs, y, k)
+    ymat_t = encode_onehot(y, k).T
+    counts = np.bincount(y, minlength=k).astype(float)
+    sums = [x @ ymat_t for x in xs]
     means = [np.divide(s, counts, out=np.zeros_like(s), where=counts > 0)
              for s in sums]
     scatter = np.array([_within_scatter(x, y, mu) for x, mu in zip(xs, means)])
     return ClassStats(counts=counts, sums=sums,
                       frames=[np.linalg.qr(s) for s in sums],
                       means=means, scatter=scatter)
-
-
-def _class_sums(xs: list[np.ndarray], y: np.ndarray,
-                k: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Samples per row and the class sums X_v @ Y.T of every view."""
-    ymat_t = encode_onehot(y, k).T
-    return np.bincount(y, minlength=k).astype(float), [x @ ymat_t for x in xs]
 
 
 def _within_scatter(x: np.ndarray, y: np.ndarray, means: np.ndarray) -> float:
@@ -311,16 +306,13 @@ def update_basis(state: ModelState, xs: list[np.ndarray],
     the polar factor of the k x k matrix R_v @ centroids.T, so a single
     batched SVD of k x k matrices serves every view, whatever its d_v; this
     per-iteration cost does not grow with n. ``stats`` are the class
-    statistics of ``state.y``; without them the class sums are computed
-    from ``xs``."""
+    statistics of ``state.y``; without them they are computed from
+    ``xs``."""
     if stats is None:
-        sums = _class_sums(xs, state.y, state.num_classes)[1]
-        frames = [np.linalg.qr(s) for s in sums]
-    else:
-        frames = stats.frames
+        stats = class_stats(xs, state.y, state.num_classes)
     u, _, vt = np.linalg.svd(np.stack([r @ c.T for (_, r), c
-                                       in zip(frames, state.centroids)]))
-    for v, ((q, _), polar) in enumerate(zip(frames, u @ vt)):
+                                       in zip(stats.frames, state.centroids)]))
+    for v, ((q, _), polar) in enumerate(zip(stats.frames, u @ vt)):
         state.bases[v] = q @ polar
 
 
@@ -333,10 +325,10 @@ def update_centroids(state: ModelState, xs: list[np.ndarray],
     of empty classes defined (they go to ~zero). ``stats`` as in
     :func:`update_basis`.
     """
-    counts, sums = (_class_sums(xs, state.y, state.num_classes)
-                    if stats is None else (stats.counts, stats.sums))
-    inv = 1.0 / (counts + RIDGE)
-    for v, s in enumerate(sums):
+    if stats is None:
+        stats = class_stats(xs, state.y, state.num_classes)
+    inv = 1.0 / (stats.counts + RIDGE)
+    for v, s in enumerate(stats.sums):
         state.centroids[v] = (state.bases[v].T @ s) * inv[None, :]
 
 
@@ -455,14 +447,6 @@ def _objective(state: ModelState, prob: _Problem, cfg: SolverConfig,
     return total
 
 
-def objective_lower_bound(ds: MultiViewDataset, cfg: SolverConfig) -> float:
-    """Smallest value the objective can take on ``ds``: the reconstruction
-    and supervision terms are nonnegative and each one-hot pair differs by
-    at most 2 in squared norm, so J >= -2 * lambda2 * n_l * n_u."""
-    n_l = 0 if cfg.ablate_labeled else ds.num_labeled
-    return -2.0 * cfg.lambda2 * n_l * ds.num_unlabeled
-
-
 def fit(ds: MultiViewDataset, cfg: SolverConfig) -> FitResult:
     """Run the alternating optimization to convergence.
 
@@ -529,10 +513,10 @@ def fit(ds: MultiViewDataset, cfg: SolverConfig) -> FitResult:
     )
 
 
-def is_monotone(trace: list[float], slack: float = DESCENT_SLACK) -> bool:
-    """True when the trace never increases beyond the relative slack."""
+def is_monotone(trace: list[float]) -> bool:
+    """True when the trace never increases beyond ``DESCENT_SLACK``, relative."""
     return all(
-        trace[i + 1] <= trace[i] + slack * (abs(trace[i]) + 1.0)
+        trace[i + 1] <= trace[i] + DESCENT_SLACK * (abs(trace[i]) + 1.0)
         for i in range(len(trace) - 1)
     )
 

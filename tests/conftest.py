@@ -1,6 +1,7 @@
 """Shared helpers: random problem instances, a naive objective recomputation
-that shares nothing with the solver's fast paths, a structural check on
-solver states, an in-process CLI driver and a traced allocation peak."""
+that shares nothing with the solver's fast paths, the objective's lower
+bound, a structural check on solver states, an in-process CLI driver and a
+traced allocation peak."""
 
 import contextlib
 import io
@@ -74,6 +75,14 @@ def naive_objective(state, ds, cfg):
         for j in work.unlabeled_indices:
             total -= cfg.lambda2 * float(np.sum((g - ymat[:, j]) ** 2))
     return total
+
+
+def objective_lower_bound(ds, cfg):
+    """Smallest value the objective can take on ``ds``: the reconstruction
+    and supervision terms are nonnegative and each one-hot pair differs by
+    at most 2 in squared norm, so J >= -2 * lambda2 * n_l * n_u."""
+    n_l = 0 if cfg.ablate_labeled else ds.num_labeled
+    return -2.0 * cfg.lambda2 * n_l * ds.num_unlabeled
 
 
 def validate_state(state, atol_basis=1e-8, atol_simplex=1e-10):

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import FIXTURE_DIR, run_cli
+from conftest import FIXTURE_DIR, objective_lower_bound, run_cli
 
 from test_metrics import brute_force_acc, naive_nmi, naive_purity
 
@@ -37,7 +37,6 @@ from mvncd.solver import (
     fit,
     is_monotone,
     make_buffers,
-    objective_lower_bound,
     update_basis,
     update_labels_known,
     update_labels_novel,

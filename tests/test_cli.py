@@ -325,6 +325,20 @@ def test_synth_round_trip_runs(tmp_path):
     assert report["dataset"]["num_views"] == 2
 
 
+@pytest.mark.parametrize("flags, field", [
+    (["--dims", ","], "dims"),
+    (["--noise", ","], "noise"),
+    (["--views", "3", "--dims", "8,8"], "dims"),
+    (["--views", "3", "--noise", "1,2"], "noise"),
+], ids=["no-dims", "no-noise", "two-dims-for-three-views",
+        "two-noises-for-three-views"])
+def test_synth_refuses_list_of_wrong_length(tmp_path, flags, field):
+    code, _, stderr = run_cli(["synth", *flags, "--out", str(tmp_path / "data")])
+    assert code == 2
+    assert stderr.startswith(f"error: {field} needs one value or one per view")
+    assert not (tmp_path / "data").exists()
+
+
 # --- sweep ---
 
 def test_sweep_default_grid(tmp_path):
@@ -366,16 +380,6 @@ def test_sweep_single_cell_matches_run(tmp_path):
     assert cell["objective_trace"] == single["objective_trace"]
 
 
-def test_sweep_parallel_matches_serial(tmp_path):
-    grid = ["--lambda1-grid", "1,10", "--lambda2-grid", "1,10"]
-    run_cli(["sweep", "--data", str(FIXTURE_DIR), *grid,
-             "--out", str(tmp_path / "serial")])
-    run_cli(["sweep", "--data", str(FIXTURE_DIR), *grid, "--jobs", "4",
-             "--out", str(tmp_path / "parallel")])
-    assert (tmp_path / "serial" / "summary.csv").read_bytes() == \
-        (tmp_path / "parallel" / "summary.csv").read_bytes()
-
-
 def test_sweep_records_cell_failure_and_continues(tmp_path):
     code, _, stderr = run_cli(["sweep", "--data", str(FIXTURE_DIR),
                                "--lambda1-grid=-1,1", "--lambda2-grid", "1",
@@ -407,15 +411,13 @@ def test_sweep_records_non_finite_lambda_as_cell_error(tmp_path):
 def test_sweep_refuses_dataset_the_model_cannot_fit(tmp_path):
     run_cli(["synth", "--classes", "4", "--per-class", "5", "--dims", "3",
              "--out", str(tmp_path / "data")])
-    for jobs in ("1", "2"):
-        out = tmp_path / f"out_{jobs}"
-        code, _, stderr = run_cli(["sweep", "--data", str(tmp_path / "data"),
-                                   "--lambda1-grid", "1,10",
-                                   "--lambda2-grid", "1", "--jobs", jobs,
-                                   "--out", str(out)])
-        assert code == 2
-        assert "view 0" in stderr
-        assert not out.exists()
+    out = tmp_path / "out"
+    code, _, stderr = run_cli(["sweep", "--data", str(tmp_path / "data"),
+                               "--lambda1-grid", "1,10", "--lambda2-grid", "1",
+                               "--out", str(out)])
+    assert code == 2
+    assert "view 0" in stderr
+    assert not out.exists()
 
 
 def test_sweep_refuses_config_error_every_cell_shares(tmp_path):
@@ -431,8 +433,8 @@ def test_sweep_refuses_config_error_every_cell_shares(tmp_path):
         assert not out.exists()
 
 
-def test_sweep_refuses_jobs_below_one(tmp_path):
-    for jobs in ("0", "-3"):
+def test_sweep_refuses_jobs_other_than_one(tmp_path):
+    for jobs in ("0", "-3", "2"):
         out = tmp_path / f"jobs_{jobs}"
         code, _, stderr = run_cli(["sweep", "--data", str(FIXTURE_DIR),
                                    "--lambda1-grid", "1",
@@ -518,13 +520,28 @@ def test_eval_rejects_bad_assignment(tmp_path):
                           "--assignment", str(tmp_path / "missing.csv")])
     assert code == 2
 
-    for bad in ("inf", "-inf", "1e300", "9.3e18"):
+    for bad, message in (("inf", "assignment: contains non-finite values"),
+                         ("-inf", "assignment: contains non-finite values"),
+                         ("1e300", "64-bit"), ("9.3e18", "64-bit")):
         huge = tmp_path / "huge.csv"
         huge.write_text("".join(f"{bad}\n" if i == 0 else "0\n"
                                 for i in range(60)))
         code, _, stderr = run_cli(["eval", "--data", str(FIXTURE_DIR),
                                    "--assignment", str(huge)])
-        assert code == 2 and "64-bit" in stderr, bad
+        assert code == 2 and message in stderr, bad
+
+
+@pytest.mark.parametrize("content", ["", "# header only\n\n"],
+                         ids=["empty", "comment-only"])
+def test_eval_refuses_assignment_without_data_rows(tmp_path, content):
+    empty = tmp_path / "empty.csv"
+    empty.write_text(content)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # numpy's own warning must not leak
+        code, stdout, stderr = run_cli(["eval", "--data", str(FIXTURE_DIR),
+                                        "--assignment", str(empty)])
+    assert code == 2 and stdout == ""
+    assert stderr == f"error: assignment: no data rows in {empty}\n"
 
 
 def test_cli_import_loads_neither_scipy_nor_executor():

@@ -343,6 +343,28 @@ def test_load_bad_labels(tmp_path):
         load_dataset(tmp_path)
 
 
+@pytest.mark.parametrize("content, message", [
+    (None, "file not found"),
+    ("0\n1\nbanana\n", "could not parse"),
+    ("# header only\n", "no data rows"),
+    ("0,1\n1,0\n", "must hold one integer per line"),
+    ("0\ninf\n", "contains non-finite values"),
+    ("0\n0.5\n", "contains non-integer values"),
+], ids=["missing", "text", "no-rows", "two-columns", "inf", "fraction"])
+def test_read_integers_names_what_it_reads(tmp_path, content, message):
+    path = tmp_path / "ids.csv"
+    if content is not None:
+        path.write_text(content)
+    with pytest.raises(DatasetError, match=f"^ids: {message}"):
+        dataset.read_integers(path, "ids")
+
+
+def test_read_integers_keeps_values_beyond_the_integer_range(tmp_path):
+    path = tmp_path / "ids.csv"
+    path.write_text("3\n-2\n1e300\n")
+    assert dataset.read_integers(path, "ids").tolist() == [3.0, -2.0, 1e300]
+
+
 @pytest.fixture(scope="module")
 def parse_paths(tmp_path_factory):
     """A dataset whose first view is parsed by forked children (its CSV is

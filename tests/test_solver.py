@@ -1,11 +1,15 @@
 import dataclasses
-import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from conftest import naive_objective, random_dataset, traced_peak, validate_state
+from conftest import (
+    naive_objective,
+    objective_lower_bound,
+    random_dataset,
+    traced_peak,
+    validate_state,
+)
 
 from mvncd.dataset import (
     DatasetError,
@@ -26,7 +30,6 @@ from mvncd.solver import (
     initialize,
     is_monotone,
     make_buffers,
-    objective_lower_bound,
     objective_value,
     update_basis,
     update_centroids,
@@ -626,29 +629,6 @@ def test_fit_leaves_the_prepared_state_untouched():
         basis[:] = 0.0
         centroids[:] = 0.0
     _assert_same_fit(fit(ds_b, cfg), fresh_b)
-
-
-def test_prepared_state_shared_by_threads():
-    # more threads than cores, switching often, over runs of fits that
-    # share a preparation and then replace it: a fit that iterated on the
-    # shared state, or mixed two slots, would drift from its cold result
-    datasets = (_overlapping_blobs(seed=5), _overlapping_blobs(seed=6))
-    # a random start, so that the label updates move assignments
-    cases = [(ds, SolverConfig(init_y_novel="random", seed=seed,
-                               lambda1=lambda1, lambda2=lambda2, max_iter=10))
-             for ds in datasets for seed in (0, 1)
-             for lambda1 in (1.0, 10.0) for lambda2 in (1.0, 100.0)]
-    cold = [_fresh_fit(ds, cfg) for ds, cfg in cases]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(fit, ds, cfg) for ds, cfg in cases * 3]
-            results = [f.result(timeout=120) for f in futures]
-    finally:
-        sys.setswitchinterval(interval)
-    for i, result in enumerate(results):
-        _assert_same_fit(result, cold[i % len(cases)])
 
 
 def _replay_fit(ds, cfg):
