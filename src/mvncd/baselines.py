@@ -1,9 +1,10 @@
-"""Reference clustering baselines: plain k-means and concatenated k-means.
+"""Reference k-means: the solver's start for the novel samples.
 
-The k-means here is deliberately self-contained so its behavior is pinned:
-k-means++ seeding, Lloyd iterations, ties broken toward the lowest index,
-empty clusters reseeded to the point farthest from its assigned centroid,
-fully deterministic under a seed.
+Deliberately self-contained so its behavior is pinned: k-means++ seeding,
+Lloyd iterations, ties broken toward the lowest index, empty clusters
+reseeded to the point farthest from its assigned centroid, fully
+deterministic under a seed. It runs in place on one d x n matrix or on a
+list of d_v x n views, as if they were stacked along the features.
 """
 
 from __future__ import annotations
@@ -12,53 +13,63 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from mvncd.dataset import MultiViewDataset, normalize_features
-
 KMEANS_MAX_ITER = 300
 KMEANS_TOL = 1e-8  # stop once the inertia drops by no more than this
-_GATHER_ROWS = 1024  # samples per block of stacked_samples' gather
 
 
 @dataclass
 class KMeansResult:
-    centroids: np.ndarray       # k x d, one centroid per row
-    assignment: np.ndarray      # cluster id per sample
+    centroids: np.ndarray       # k x sum(d_v), one centroid per row
+    assignment: np.ndarray      # cluster id per clustered sample
     inertia: float
     iterations: int
     inertia_trace: list[float] = field(default_factory=list)
 
 
-def kmeans_fit(points: np.ndarray, k: int, seed: int = 0) -> KMeansResult:
-    """Cluster the columns of ``points`` (d x n) into ``k`` groups.
+def kmeans_fit(points: np.ndarray | list[np.ndarray], k: int, seed: int = 0,
+               cols: np.ndarray | None = None) -> KMeansResult:
+    """Cluster samples of ``points`` into ``k`` groups.
 
-    The work runs on a C-ordered n x d matrix, one row per sample. Passing
-    the transpose of one (as :func:`stacked_samples` returns) costs no copy;
-    anything else is copied once into that layout.
+    ``points`` is one d x n matrix or a list of d_v x n views; a sample is
+    a column, its features those of all views in order. ``cols`` picks the
+    distinct samples to cluster, in the order of the assignment (default:
+    all). ``kmeans_fit(np.vstack([x[:, cols] for x in views]), k, seed)``
+    gives the same clustering.
+
+    Each data pass reads the columns from the first to the last picked one
+    in place, so no copy of the samples is made; scattered ``cols`` make it
+    read the unpicked columns in between too.
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2:
-        raise ValueError("points must be a d x n matrix")
-    d, n = points.shape
+    xs = [points] if isinstance(points, np.ndarray) else list(points)
+    xs = [np.asarray(x, dtype=float) for x in xs]
+    if not xs or any(x.ndim != 2 or x.shape[1] != xs[0].shape[1] for x in xs):
+        raise ValueError("points must be a d x n matrix or a list of "
+                         "d_v x n views")
+    cols = np.arange(xs[0].shape[1]) if cols is None else np.asarray(cols, dtype=int)
+    n = cols.size
     if k < 1 or k > n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
+    lo = int(cols.min())
+    xs = [x[:, lo:int(cols.max()) + 1] for x in xs]   # views, not copies
+    at = cols - lo
+    ends = np.cumsum([x.shape[0] for x in xs])
     rng = np.random.default_rng(seed)
-    x = np.ascontiguousarray(points.T)        # n x d, row per sample
-    xsq = np.einsum("ij,ij->i", x, x)
-    centroids = _plus_plus_seed(x, xsq, k, rng)
+    xsq = sum(np.einsum("ij,ij->j", x, x) for x in xs)[at]
+    centroids = _plus_plus_seed(xs, ends, at, xsq, k, rng)
 
     assignment = np.full(n, -1)
     inertia = np.inf
     trace: list[float] = []
     iterations = 0
     for iterations in range(1, KMEANS_MAX_ITER + 1):
-        dist = _sq_dist(x, xsq, centroids)
+        dist = _sq_dist(xs, ends, at, xsq, centroids)
         new_assignment = np.argmin(dist, axis=1)
         sample_cost = dist[np.arange(n), new_assignment]
         for c in range(k):
             if not np.any(new_assignment == c):
                 # relocate the empty cluster onto the worst-fit point
                 far = int(np.argmax(sample_cost))
-                centroids[c] = x[far]
+                centroids[c] = _sample(xs, at[far])
                 new_assignment[far] = c
                 sample_cost[far] = 0.0
         new_inertia = float(sample_cost.sum())
@@ -69,68 +80,46 @@ def kmeans_fit(points: np.ndarray, k: int, seed: int = 0) -> KMeansResult:
             break
         assignment = new_assignment
         inertia = new_inertia
-        for c in range(k):
-            centroids[c] = x[assignment == c].mean(axis=0)
+        # class sums as one-hot products over the span, zero off ``cols``
+        onehot = np.zeros((k, xs[0].shape[1]))
+        onehot[assignment, at] = 1.0
+        counts = np.bincount(assignment, minlength=k)[:, None]
+        for x, end in zip(xs, ends):
+            centroids[:, end - x.shape[0]:end] = (onehot @ x.T) / counts
     return KMeansResult(centroids=centroids, assignment=assignment,
                         inertia=inertia, iterations=iterations,
                         inertia_trace=trace)
 
 
-def _plus_plus_seed(x: np.ndarray, xsq: np.ndarray, k: int,
+def _sample(xs: list[np.ndarray], j: int) -> np.ndarray:
+    return np.concatenate([x[:, j] for x in xs])
+
+
+def _plus_plus_seed(xs: list[np.ndarray], ends: np.ndarray, at: np.ndarray,
+                    xsq: np.ndarray, k: int,
                     rng: np.random.Generator) -> np.ndarray:
-    n = x.shape[0]
-    centroids = np.empty((k, x.shape[1]))
+    n = at.size
+    centroids = np.empty((k, int(ends[-1])))
     idx = int(rng.integers(n))
-    centroids[0] = x[idx]
-    closest = xsq - 2.0 * (x @ centroids[0]) + centroids[0] @ centroids[0]
-    closest = np.maximum(closest, 0.0)
+    centroids[0] = _sample(xs, at[idx])
+    closest = _sq_dist(xs, ends, at, xsq, centroids[:1])[:, 0]
     for c in range(1, k):
         total = closest.sum()
         if total <= 0:
             idx = int(rng.integers(n))
         else:
             idx = int(rng.choice(n, p=closest / total))
-        centroids[c] = x[idx]
-        cand = xsq - 2.0 * (x @ centroids[c]) + centroids[c] @ centroids[c]
-        closest = np.minimum(closest, np.maximum(cand, 0.0))
+        centroids[c] = _sample(xs, at[idx])
+        cand = _sq_dist(xs, ends, at, xsq, centroids[c:c + 1])[:, 0]
+        closest = np.minimum(closest, cand)
     return centroids
 
 
-def _sq_dist(x: np.ndarray, xsq: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    # parenthesized: 2.0 * x @ c would scale a copy of all of x; doubling
-    # is exact, so the bits are the same either way. The product is taken
-    # as (c @ x.T).T, not x @ c.T, with the same bits: OpenBLAS packs the
-    # samples as the GEMM's M side in small blocks, while as its N side
-    # they take panels of pages (about 23 MB for 10,000 x 300) that
-    # stay mapped after the call.
+def _sq_dist(xs: list[np.ndarray], ends: np.ndarray, at: np.ndarray,
+             xsq: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Squared distances, samples ``at`` x centroids, of the views ``xs``
+    stacked along the features. The cross term is summed over the views'
+    products and then indexed, so no sample's features are gathered."""
+    cross = sum(centroids[:, end - x.shape[0]:end] @ x for x, end in zip(xs, ends))
     csq = np.einsum("ij,ij->i", centroids, centroids)
-    return np.maximum(xsq[:, None] - 2.0 * (centroids @ x.T).T + csq[None, :], 0.0)
-
-
-def stacked_samples(xs: list[np.ndarray], cols: np.ndarray) -> np.ndarray:
-    """The columns ``cols`` of the views ``xs`` (each d_v x n), stacked along
-    the features into one C-ordered matrix with a row per sample
-    (cols.size x sum d_v). Its transpose equals
-    ``np.vstack([x[:, cols] for x in xs])`` bit for bit, but is written in
-    blocks of samples, so no view's gathered copy exists."""
-    ends = np.cumsum([x.shape[0] for x in xs])
-    out = np.empty((cols.size, int(ends[-1])))
-    for start in range(0, cols.size, _GATHER_ROWS):
-        block = cols[start:start + _GATHER_ROWS]
-        rows = out[start:start + block.size]
-        for x, end in zip(xs, ends):
-            rows[:, end - x.shape[0]:end] = x[:, block].T
-    return out
-
-
-def concat_kmeans_ncd(ds: MultiViewDataset, k: int | None = None,
-                      normalize: str = "zscore", seed: int = 0) -> np.ndarray:
-    """Novel-class-discovery baseline: stack all normalized views along the
-    feature axis and run k-means on the unlabeled samples only.
-
-    Returns a cluster id in [0, k_u) per unlabeled sample in dataset order.
-    """
-    work = normalize_features(ds, normalize)
-    stacked = stacked_samples([v.data for v in work.views], work.unlabeled_indices)
-    k_u = work.num_novel if k is None else int(k)
-    return kmeans_fit(stacked.T, k_u, seed=seed).assignment
+    return np.maximum(xsq[:, None] - 2.0 * cross[:, at].T + csq[None, :], 0.0)

@@ -25,6 +25,7 @@ from mvncd.dataset import (
     generate_synthetic,
     load_dataset,
     read_integers,
+    read_manifest,
     write_dataset,
 )
 from mvncd.metrics import clustering_accuracy, nmi, purity
@@ -273,7 +274,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    ds = load_dataset(args.data, known_classes=args.known_classes)
+    split = read_manifest(args.data, known_classes=args.known_classes)[1]
     values = read_integers(args.assignment, "assignment")
     # a 64-bit float below 2**63 converts exactly; larger values would cast
     # to a bogus id
@@ -281,12 +282,12 @@ def cmd_eval(args) -> int:
         raise DatasetError("assignment file holds a cluster id that is not "
                            "finite or does not fit a 64-bit integer")
     pred = values.astype(np.int64)
-    if pred.size != ds.num_unlabeled:
+    truth = split["labels"][split["unlabeled_indices"]]
+    if pred.size != truth.size:
         raise DatasetError(
             f"assignment has {pred.size} entries, dataset has "
-            f"{ds.num_unlabeled} unlabeled samples"
+            f"{truth.size} unlabeled samples"
         )
-    truth = ds.labels[ds.unlabeled_indices]
     scores = {
         "acc": clustering_accuracy(pred, truth),
         "nmi": nmi(pred, truth),

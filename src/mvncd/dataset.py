@@ -113,24 +113,19 @@ def make_dataset(
     ``known_classes`` defaults to the split_known_novel rule. Raises
     DatasetError on any inconsistency.
     """
-    if len(view_arrays) == 0:
-        raise DatasetError("dataset needs at least one view")
+    split = _class_split(labels, num_classes, known_classes)
+    return MultiViewDataset(views=_checked_views(view_arrays, split["labels"].size),
+                            **split)
+
+
+def _class_split(labels: np.ndarray, num_classes: int,
+                 known_classes: Sequence[int] | None = None) -> dict:
+    """Validate ``labels`` and split the classes into known and novel ones
+    as :func:`make_dataset` does; returns the MultiViewDataset fields other
+    than ``views``, by name."""
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.size == 0:
         raise DatasetError("labels must be a non-empty 1-d array")
-    n = labels.size
-    arrays = []
-    for i, arr in enumerate(view_arrays):
-        arr = np.asarray(arr, dtype=float)
-        if arr.ndim != 2:
-            raise DatasetError(f"view {i}: expected a 2-d matrix, got ndim={arr.ndim}")
-        if arr.shape[1] != n:
-            raise DatasetError(
-                f"view {i}: has {arr.shape[1]} samples, labels have {n}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise DatasetError(f"view {i}: contains non-finite values")
-        arrays.append(arr)
     k = int(num_classes)
     if k < 2:
         raise DatasetError(f"num_classes must be >= 2, got {k}")
@@ -148,24 +143,29 @@ def make_dataset(
             raise DatasetError(f"known class ids must lie in [0, {k})")
     is_known_class = np.zeros(k, dtype=bool)
     is_known_class[known_ids] = True
-    known = np.flatnonzero(is_known_class)
     novel = np.flatnonzero(~is_known_class)
     if novel.size == 0:
         raise DatasetError("at least one class must remain novel")
-
     is_known = is_known_class[labels]
-    labeled = np.flatnonzero(is_known)
-    unlabeled = np.flatnonzero(~is_known)
-    views = tuple(ViewMatrix(data=a, view_index=i) for i, a in enumerate(arrays))
-    return MultiViewDataset(
-        views=views,
-        labels=labels,
-        num_classes=k,
-        known_classes=known,
-        novel_classes=novel,
-        labeled_indices=labeled,
-        unlabeled_indices=unlabeled,
-    )
+    return dict(labels=labels, num_classes=k, known_classes=np.flatnonzero(is_known_class),
+                novel_classes=novel, labeled_indices=np.flatnonzero(is_known),
+                unlabeled_indices=np.flatnonzero(~is_known))
+
+
+def _checked_views(view_arrays: Sequence[np.ndarray], n: int) -> tuple[ViewMatrix, ...]:
+    if len(view_arrays) == 0:
+        raise DatasetError("dataset needs at least one view")
+    views = []
+    for i, arr in enumerate(view_arrays):
+        arr = np.asarray(arr, dtype=float)
+        if arr.ndim != 2:
+            raise DatasetError(f"view {i}: expected a 2-d matrix, got ndim={arr.ndim}")
+        if arr.shape[1] != n:
+            raise DatasetError(f"view {i}: has {arr.shape[1]} samples, labels have {n}")
+        if not np.all(np.isfinite(arr)):
+            raise DatasetError(f"view {i}: contains non-finite values")
+        views.append(ViewMatrix(data=arr, view_index=i))
+    return tuple(views)
 
 
 def _integer_labels(labels: np.ndarray, k: int) -> np.ndarray:
@@ -278,6 +278,23 @@ def load_dataset(path: str | Path, known_classes: Sequence[int] | None = None,
     normalize)`` bit for bit.
     """
     _check_mode(normalize)
+    entries, split = read_manifest(path, known_classes)
+    arrays = []
+    for i, (view_path, dim) in enumerate(entries):
+        arr = _read_csv_matrix(view_path, f"view {i}")
+        if arr.shape[1] != dim:
+            raise DatasetError(f"view {i}: file has {arr.shape[1]} feature "
+                               f"columns, manifest declares {dim}")
+        arrays.append(arr.T)
+    ds = MultiViewDataset(views=_checked_views(arrays, split["labels"].size), **split)
+    return ds if normalize == "none" else _normalized(ds, normalize, in_place=True)
+
+
+def read_manifest(path: str | Path, known_classes: Sequence[int] | None = None
+                  ) -> tuple[list[tuple[Path, int]], dict]:
+    """The first half of :func:`load_dataset`: reads the manifest and the
+    labels, no view CSV. Returns each view's CSV path with its declared
+    dimension, and the class split: MultiViewDataset's other fields, by name."""
     path = Path(path)
     manifest_path = path / MANIFEST_NAME if path.is_dir() else path
     if not manifest_path.is_file():
@@ -294,27 +311,20 @@ def load_dataset(path: str | Path, known_classes: Sequence[int] | None = None,
     views = manifest["views"]
     if not isinstance(views, list) or not all(isinstance(e, dict) for e in views):
         raise DatasetError("manifest field 'views' must be a list of objects")
-    _require(manifest, "labels", str, "manifest")
+    if not views:
+        raise DatasetError("dataset needs at least one view")
+    labels_name = _require(manifest, "labels", str, "manifest")
     num_classes = _require(manifest, "num_classes", int, "manifest")
     base = manifest_path.parent
 
-    arrays = []
+    entries = []
     for i, entry in enumerate(views):
         if "path" not in entry or "dim" not in entry:
             raise DatasetError(f"view {i}: manifest entry needs 'path' and 'dim'")
-        view_path = base / _require(entry, "path", str, f"view {i}")
-        dim = _require(entry, "dim", int, f"view {i}")
-        arr = _read_csv_matrix(view_path, f"view {i}")
-        if arr.shape[1] != dim:
-            raise DatasetError(
-                f"view {i}: file has {arr.shape[1]} feature columns, "
-                f"manifest declares {dim}"
-            )
-        arrays.append(arr.T)
-
-    labels = read_integers(base / manifest["labels"], "labels")
-    ds = make_dataset(arrays, labels, num_classes, known_classes)
-    return ds if normalize == "none" else _normalized(ds, normalize, in_place=True)
+        entries.append((base / _require(entry, "path", str, f"view {i}"),
+                        _require(entry, "dim", int, f"view {i}")))
+    labels = read_integers(base / labels_name, "labels")
+    return entries, _class_split(labels, num_classes, known_classes)
 
 
 def _require(fields: dict, key: str, kind: type, what: str):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mvncd.baselines import kmeans_fit, stacked_samples
+from mvncd.baselines import kmeans_fit
 from mvncd.dataset import (
     NORMALIZATIONS,
     DatasetError,
@@ -229,7 +229,6 @@ def _initialize(prob: _Problem, cfg: SolverConfig) -> tuple[ModelState, ClassSta
     num_views = len(prob.xs)
     bases = [_leading_basis(x, k) for x in prob.xs]
     y = _initial_assignment(prob, cfg)
-    # computed once the k-means input is released, to keep the peak down
     stats = class_stats(prob.xs, y, k)
     state = ModelState(
         bases=bases,
@@ -253,8 +252,8 @@ def _initial_assignment(prob: _Problem, cfg: SolverConfig) -> np.ndarray:
     if n_u:
         k_u = k - prob.num_known
         if cfg.init_y_novel == "kmeans" and n_u >= k_u:
-            stacked = stacked_samples(prob.xs, prob.unlabeled)
-            km = kmeans_fit(stacked.T, k_u, seed=int(rng.integers(2**32)))
+            km = kmeans_fit(prob.xs, k_u, seed=int(rng.integers(2**32)),
+                            cols=prob.unlabeled)
             y[prob.unlabeled] = prob.num_known + km.assignment
         else:
             y[prob.unlabeled] = rng.integers(prob.num_known, k, size=n_u)

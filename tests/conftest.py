@@ -1,7 +1,7 @@
 """Shared helpers: random problem instances, a naive objective recomputation
 that shares nothing with the solver's fast paths, the objective's lower
-bound, a structural check on solver states, an in-process CLI driver and a
-traced allocation peak."""
+bound, a structural check on solver states, the concatenated k-means
+baseline, an in-process CLI driver and a traced allocation peak."""
 
 import contextlib
 import io
@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
+from mvncd.baselines import kmeans_fit
 from mvncd.cli import main as cli_main
 from mvncd.dataset import (
     generate_synthetic,
@@ -100,6 +101,16 @@ def validate_state(state, atol_basis=1e-8, atol_simplex=1e-10):
     w = state.view_weights
     if w.min() < 0 or abs(float(w.sum()) - 1.0) > atol_simplex:
         raise ValueError("view weights are not on the simplex")
+
+
+def concat_kmeans_ncd(ds, k=None, normalize="zscore", seed=0):
+    """Novel-class-discovery baseline: k-means on the unlabeled samples of
+    the normalized views, stacked along the features. Returns a cluster id
+    in [0, k_u) per unlabeled sample in dataset order."""
+    work = normalize_features(ds, normalize)
+    k_u = work.num_novel if k is None else int(k)
+    return kmeans_fit([v.data for v in work.views], k_u, seed=seed,
+                      cols=work.unlabeled_indices).assignment
 
 
 def run_cli(argv):

@@ -15,11 +15,15 @@ import time
 import numpy as np
 import pytest
 
-from conftest import FIXTURE_DIR, objective_lower_bound, run_cli
+from conftest import (
+    FIXTURE_DIR,
+    concat_kmeans_ncd,
+    objective_lower_bound,
+    run_cli,
+)
 
 from test_metrics import brute_force_acc, naive_nmi, naive_purity
 
-from mvncd.baselines import concat_kmeans_ncd
 from mvncd.dataset import (
     SyntheticSpec,
     generate_synthetic,

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import traced_peak
+from conftest import concat_kmeans_ncd, traced_peak
 
 from mvncd import baselines
-from mvncd.baselines import concat_kmeans_ncd, kmeans_fit, stacked_samples
+from mvncd.baselines import kmeans_fit
 from mvncd.dataset import SyntheticSpec, generate_synthetic
 from mvncd.metrics import clustering_accuracy
 
@@ -79,9 +80,8 @@ def test_concat_baseline_single_cluster():
 
 
 def test_kmeans_allocates_no_copy_of_its_input():
-    # five balanced, well-separated blobs, so each centroid update gathers
-    # a fifth of the points; a scaled or re-laid-out copy of all of them
-    # would reach points.nbytes
+    # five balanced, well-separated blobs; a scaled or re-laid-out copy of
+    # the points would reach points.nbytes
     rng = np.random.default_rng(0)
     centers = 20.0 * rng.standard_normal((5, 300))
     samples = np.repeat(centers, 2000, axis=0) + rng.standard_normal((10_000, 300))
@@ -90,14 +90,31 @@ def test_kmeans_allocates_no_copy_of_its_input():
     assert peak < 0.5 * points.nbytes
 
 
-@pytest.mark.parametrize("layout", ["C", "F"])
-def test_stacked_samples_is_the_transposed_vstack(layout):
-    rng = np.random.default_rng(1)
-    xs = [np.asarray(rng.standard_normal((d, 2500)), order=layout) for d in (3, 7)]
-    cols = np.sort(rng.choice(2500, size=2100, replace=False))
-    out = stacked_samples(xs, cols)
-    assert out.flags.c_contiguous
-    assert np.array_equal(out.T, np.vstack([x[:, cols] for x in xs]))
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(dims=st.lists(st.integers(1, 12), min_size=1, max_size=3),
+       n=st.integers(2, 300), layout=st.sampled_from("CF"),
+       scattered=st.booleans(), k=st.integers(1, 6),
+       data_seed=st.integers(0, 2**32 - 1))
+def test_kmeans_on_view_columns_equals_kmeans_on_their_vstack(
+        dims, n, layout, scattered, k, data_seed):
+    # the benchmark's replay runs k-means on the np.vstack input and
+    # requires initialization's assignment from the views in place
+    rng = np.random.default_rng(data_seed)
+    truth = rng.integers(0, k, size=n)
+    xs = [np.asarray(4.0 * rng.standard_normal((d, k))[:, truth]
+                     + rng.standard_normal((d, n)), order=layout) for d in dims]
+    if scattered:
+        cols = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+    else:
+        lo = int(rng.integers(n))
+        cols = np.arange(lo, int(rng.integers(lo + 1, n + 1)))
+    k = min(k, cols.size)
+    seed = int(rng.integers(2**32))
+    got = kmeans_fit(xs, k, seed, cols=cols)
+    want = kmeans_fit(np.vstack([x[:, cols] for x in xs]), k, seed)
+    assert np.array_equal(got.assignment, want.assignment)
+    assert got.iterations == want.iterations
+    assert np.allclose(got.centroids, want.centroids, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("n, d, k", [
@@ -105,14 +122,23 @@ def test_stacked_samples_is_the_transposed_vstack(layout):
     (2000, 300, 10), (20_000, 100, 2), (513, 129, 20),
 ])
 def test_sq_dist_bits_equal_the_direct_formula(n, d, k):
-    # the samples sit on the other side of the GEMM than in x @ c.T; the
-    # distances must keep their bits
+    # the features split into up to three views and every other sample
+    # picked from a quarter in: the per-view products, summed over the
+    # column span and then indexed, keep the bits of the same sum taken
+    # over the gathered samples
     rng = np.random.default_rng(n + d + k)
     x = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-2, 3)
     c = x[rng.choice(n, size=k, replace=False)] + rng.standard_normal((k, d))
-    xsq = np.einsum("ij,ij->i", x, x)
+    ends = np.array(sorted({d // 3, 2 * d // 3, d} - {0}))
+    bounds = list(zip([0, *ends[:-1]], ends))
+    cols = np.arange(n)[n // 4::2]
+    lo = int(cols[0])
+    picked = x[cols]
+    xsq = np.einsum("ij,ij->i", picked, picked)
     csq = np.einsum("ij,ij->i", c, c)
-    direct = np.maximum(xsq[:, None] - 2.0 * (x @ c.T) + csq[None, :], 0.0)
-    got = baselines._sq_dist(x, xsq, c)
-    assert got.shape == (n, k)
+    cross = sum(picked[:, a:b] @ c[:, a:b].T for a, b in bounds)
+    direct = np.maximum(xsq[:, None] - 2.0 * cross + csq[None, :], 0.0)
+    xs = [x.T[a:b, lo:] for a, b in bounds]
+    got = baselines._sq_dist(xs, ends, cols - lo, xsq, c)
+    assert got.shape == (cols.size, k)
     assert np.ascontiguousarray(got).tobytes() == direct.tobytes()

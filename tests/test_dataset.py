@@ -8,10 +8,9 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import FIXTURE_DIR
+from conftest import FIXTURE_DIR, concat_kmeans_ncd
 
 from mvncd import dataset
-from mvncd.baselines import concat_kmeans_ncd
 from mvncd.dataset import (
     DatasetError,
     SyntheticSpec,
