@@ -1,15 +1,17 @@
 """Reference k-means: the solver's start for the novel samples.
 
 Deliberately self-contained so its behavior is pinned: k-means++ seeding,
-Lloyd iterations, ties broken toward the lowest index, empty clusters
-reseeded to the point farthest from its assigned centroid, fully
-deterministic under a seed. It runs in place on one d x n matrix or on a
-list of d_v x n views, as if they were stacked along the features.
+Lloyd iterations, ties broken toward the lowest index, fully deterministic
+under a seed. Each empty cluster, in increasing order, takes the sample
+farthest from its centroid among the clusters that keep another member
+(ties toward the lowest index), so no cluster ends a pass empty. It runs
+in place on one d x n matrix or on a list of d_v x n views, as if they
+were stacked along the features.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +25,6 @@ class KMeansResult:
     assignment: np.ndarray      # cluster id per clustered sample
     inertia: float
     iterations: int
-    inertia_trace: list[float] = field(default_factory=list)
 
 
 def kmeans_fit(points: np.ndarray | list[np.ndarray], k: int, seed: int = 0,
@@ -59,21 +60,23 @@ def kmeans_fit(points: np.ndarray | list[np.ndarray], k: int, seed: int = 0,
 
     assignment = np.full(n, -1)
     inertia = np.inf
-    trace: list[float] = []
     iterations = 0
     for iterations in range(1, KMEANS_MAX_ITER + 1):
         dist = _sq_dist(xs, ends, at, xsq, centroids)
         new_assignment = np.argmin(dist, axis=1)
         sample_cost = dist[np.arange(n), new_assignment]
-        for c in range(k):
-            if not np.any(new_assignment == c):
-                # relocate the empty cluster onto the worst-fit point
-                far = int(np.argmax(sample_cost))
-                centroids[c] = _sample(xs, at[far])
-                new_assignment[far] = c
-                sample_cost[far] = 0.0
+        counts = np.bincount(new_assignment, minlength=k)
+        for c in np.flatnonzero(counts == 0):
+            # relocate the empty cluster onto the worst-fit sample of a
+            # cluster that keeps another member; costs are >= 0
+            far = int(np.argmax(np.where(counts[new_assignment] > 1,
+                                         sample_cost, -1.0)))
+            centroids[c] = _sample(xs, at[far])
+            counts[new_assignment[far]] -= 1
+            counts[c] = 1
+            new_assignment[far] = c
+            sample_cost[far] = 0.0
         new_inertia = float(sample_cost.sum())
-        trace.append(new_inertia)
         if np.array_equal(new_assignment, assignment) or inertia - new_inertia <= KMEANS_TOL:
             assignment = new_assignment
             inertia = new_inertia
@@ -83,12 +86,10 @@ def kmeans_fit(points: np.ndarray | list[np.ndarray], k: int, seed: int = 0,
         # class sums as one-hot products over the span, zero off ``cols``
         onehot = np.zeros((k, xs[0].shape[1]))
         onehot[assignment, at] = 1.0
-        counts = np.bincount(assignment, minlength=k)[:, None]
         for x, end in zip(xs, ends):
-            centroids[:, end - x.shape[0]:end] = (onehot @ x.T) / counts
+            centroids[:, end - x.shape[0]:end] = (onehot @ x.T) / counts[:, None]
     return KMeansResult(centroids=centroids, assignment=assignment,
-                        inertia=inertia, iterations=iterations,
-                        inertia_trace=trace)
+                        inertia=inertia, iterations=iterations)
 
 
 def _sample(xs: list[np.ndarray], j: int) -> np.ndarray:

@@ -230,9 +230,8 @@ def _normalized(ds: MultiViewDataset, mode: str, in_place: bool) -> MultiViewDat
         data = view.data
         out = data if in_place else np.empty_like(data)
         if mode == "zscore":
-            mean = data.mean(axis=1, keepdims=True)
-            std = data.std(axis=1, keepdims=True)
-            np.subtract(data, mean, out=out)
+            np.subtract(data, data.mean(axis=1, keepdims=True), out=out)
+            std = np.sqrt(_row_sums_of_squares(out) / out.shape[1])
             np.divide(out, np.where(std > 0, std, 1.0), out=out)
         else:
             norms = np.linalg.norm(data, axis=0, keepdims=True)
@@ -243,6 +242,16 @@ def _normalized(ds: MultiViewDataset, mode: str, in_place: bool) -> MultiViewDat
             raise DatasetError(f"view {view.view_index}: contains non-finite values")
         views.append(ViewMatrix(data=out, view_index=view.view_index))
     return replace(ds, views=tuple(views), normalization=mode)
+
+
+def _row_sums_of_squares(x: np.ndarray) -> np.ndarray:
+    """Each row's sum of squares, summed as np.std sums its centred copy,
+    squaring about 1 MiB of rows at a time. A block holds two rows or more:
+    numpy sums a lone strided row pairwise, an F-ordered array's rows a
+    column at a time."""
+    blocks = max(1, min(x.shape[0] // 2, x.nbytes >> 20))
+    return np.concatenate([np.square(part).sum(axis=1, keepdims=True)
+                           for part in np.array_split(x, blocks)])
 
 
 def encode_onehot(labels: np.ndarray, num_classes: int) -> np.ndarray:

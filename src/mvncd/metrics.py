@@ -7,32 +7,18 @@ are invariant to relabeling of either side, and live in [0, 1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass(frozen=True)
-class ContingencyTable:
+def contingency_table(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
     """Joint counts between predicted cluster ids (rows) and true class ids
     (columns); only ids actually present get a row/column."""
-
-    counts: np.ndarray
-    pred_ids: np.ndarray
-    true_ids: np.ndarray
-
-    @property
-    def num_samples(self) -> int:
-        return int(self.counts.sum())
-
-
-def contingency_table(pred: np.ndarray, truth: np.ndarray) -> ContingencyTable:
     pred, truth = _check_pair(pred, truth)
     pred_ids, pi = np.unique(pred, return_inverse=True)
     true_ids, ti = np.unique(truth, return_inverse=True)
     counts = np.zeros((pred_ids.size, true_ids.size), dtype=int)
     np.add.at(counts, (pi, ti), 1)
-    return ContingencyTable(counts=counts, pred_ids=pred_ids, true_ids=true_ids)
+    return counts
 
 
 def hungarian_match(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -97,20 +83,21 @@ def _assign_rows(cost: np.ndarray) -> np.ndarray:
 
 def clustering_accuracy(pred: np.ndarray, truth: np.ndarray) -> float:
     """Fraction of samples correct under the best cluster-to-class matching."""
-    table = contingency_table(pred, truth)
-    rows, cols = hungarian_match(-table.counts.astype(float))
-    return float(table.counts[rows, cols].sum() / table.num_samples)
+    counts = contingency_table(pred, truth)
+    rows, cols = hungarian_match(-counts.astype(float))
+    return float(counts[rows, cols].sum() / counts.sum())
 
 
 def nmi(pred: np.ndarray, truth: np.ndarray) -> float:
     """Mutual information (natural log) over the geometric mean of the two
     entropies; degenerate 0/0 cases (either side constant) return 0.0."""
-    table = contingency_table(pred, truth)
-    joint = table.counts / table.num_samples
+    counts = contingency_table(pred, truth)
+    n = counts.sum()
+    joint = counts / n
     # marginals from the integer counts, not from float row sums, so a
     # constant partition gets probability exactly 1 and entropy exactly 0
-    p_pred = table.counts.sum(axis=1) / table.num_samples
-    p_true = table.counts.sum(axis=0) / table.num_samples
+    p_pred = counts.sum(axis=1) / n
+    p_true = counts.sum(axis=0) / n
     h_pred = _entropy(p_pred)
     h_true = _entropy(p_true)
     nz = joint > 0
@@ -124,8 +111,8 @@ def nmi(pred: np.ndarray, truth: np.ndarray) -> float:
 
 def purity(pred: np.ndarray, truth: np.ndarray) -> float:
     """Mean over samples of the majority-class fraction of their cluster."""
-    table = contingency_table(pred, truth)
-    return float(table.counts.max(axis=1).sum() / table.num_samples)
+    counts = contingency_table(pred, truth)
+    return float(counts.max(axis=1).sum() / counts.sum())
 
 
 def _entropy(p: np.ndarray) -> float:

@@ -152,9 +152,10 @@ class _Problem:
     num_known: int
 
 
-def _build_problem(ds: MultiViewDataset, cfg: SolverConfig) -> _Problem:
-    work = unlabeled_subset(ds) if cfg.ablate_labeled else ds
-    work = normalize_features(work, cfg.normalize)
+def _build_problem(ds: MultiViewDataset, normalize: str,
+                   ablate_labeled: bool) -> _Problem:
+    work = unlabeled_subset(ds) if ablate_labeled else ds
+    work = normalize_features(work, normalize)
     k = work.num_classes
     for view in work.views:
         if view.dim < k:
@@ -181,10 +182,6 @@ def _build_problem(ds: MultiViewDataset, cfg: SolverConfig) -> _Problem:
     )
 
 
-# The SolverConfig fields that _build_problem and _initialize read; the
-# other fields (the lambdas, the stopping rule and the switches of the
-# iterations) leave the preparation unchanged.
-_PREPARE_FIELDS = ("normalize", "ablate_labeled", "seed", "init_y_novel")
 _prepared: tuple | None = None   # (dataset, key, problem, initial state, its stats)
 
 
@@ -194,18 +191,18 @@ def _prepare(ds: MultiViewDataset,
     under ``cfg``.
 
     The last preparation is kept in a single slot and reused while the
-    dataset object and the fields in ``_PREPARE_FIELDS`` stay the same, so
-    a sweep over the lambdas prepares once. The slot holds the dataset, so
-    its identity cannot be recycled while cached. Callers never mutate what
-    this returns.
+    dataset object and the config values passed to ``_build_problem`` and
+    ``_initialize`` stay the same, so a sweep over the lambdas prepares
+    once. The slot holds the dataset, so its identity cannot be recycled
+    while cached. Callers never mutate what this returns.
     """
     global _prepared
-    key = tuple(getattr(cfg, name) for name in _PREPARE_FIELDS)
+    key = (cfg.normalize, cfg.ablate_labeled, cfg.seed, cfg.init_y_novel)
     slot = _prepared
     if slot is not None and slot[0] is ds and slot[1] == key:
         return slot[2], slot[3], slot[4]
-    prob = _build_problem(ds, cfg)
-    state, stats = _initialize(prob, cfg)
+    prob = _build_problem(ds, *key[:2])
+    state, stats = _initialize(prob, *key[2:])
     _prepared = (ds, key, prob, state, stats)
     return prob, state, stats
 
@@ -224,11 +221,12 @@ def initialize(ds: MultiViewDataset, cfg: SolverConfig) -> ModelState:
     return _copy_state(_prepare(ds, cfg)[1])
 
 
-def _initialize(prob: _Problem, cfg: SolverConfig) -> tuple[ModelState, ClassStats]:
+def _initialize(prob: _Problem, seed: int,
+                init_y_novel: str) -> tuple[ModelState, ClassStats]:
     k = prob.num_classes
     num_views = len(prob.xs)
     bases = [_leading_basis(x, k) for x in prob.xs]
-    y = _initial_assignment(prob, cfg)
+    y = _initial_assignment(prob, seed, init_y_novel)
     stats = class_stats(prob.xs, y, k)
     state = ModelState(
         bases=bases,
@@ -240,18 +238,18 @@ def _initialize(prob: _Problem, cfg: SolverConfig) -> tuple[ModelState, ClassSta
     return state, stats
 
 
-def _initial_assignment(prob: _Problem, cfg: SolverConfig) -> np.ndarray:
-    """Ground-truth rows for labeled samples; k-means on the stacked views
+def _initial_assignment(prob: _Problem, seed: int, init_y_novel: str) -> np.ndarray:
+    """Ground-truth rows for labeled samples; k-means on the views in place
     for the unlabeled ones, or random novel rows when asked for or when
     there are fewer unlabeled samples than novel classes."""
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     k = prob.num_classes
     y = np.zeros(prob.xs[0].shape[1], dtype=int)
     y[prob.labeled] = prob.truth_rows
     n_u = prob.unlabeled.size
     if n_u:
         k_u = k - prob.num_known
-        if cfg.init_y_novel == "kmeans" and n_u >= k_u:
+        if init_y_novel == "kmeans" and n_u >= k_u:
             km = kmeans_fit(prob.xs, k_u, seed=int(rng.integers(2**32)),
                             cols=prob.unlabeled)
             y[prob.unlabeled] = prob.num_known + km.assignment
@@ -418,7 +416,7 @@ def objective_value(state: ModelState, ds: MultiViewDataset,
     """Full objective of ``state`` on ``ds`` under ``cfg`` (same
     preprocessing fit applies: normalization and the labeled-ablation
     restriction)."""
-    prob = _build_problem(ds, cfg)
+    prob = _build_problem(ds, cfg.normalize, cfg.ablate_labeled)
     return _objective(state, prob, cfg,
                       class_stats(prob.xs, state.y, prob.num_classes))
 

@@ -274,15 +274,14 @@ def _per_iteration_time(n, seed):
         views=3, classes=10, per_class=n // 10, dims=100,
         separation=4.0, noise=1.0, seed=seed))
     fit(ds, SolverConfig(seed=0, tol=0.0, max_iter=3))  # warm-up
-    times = {}
-    for iters in (5, 25):
-        best = np.inf
-        for _ in range(2):
+    # the two lengths interleaved, so a slow spell of the host slows both
+    best = {5: np.inf, 25: np.inf}
+    for _ in range(5):
+        for iters in best:
             start = time.perf_counter()
             fit(ds, SolverConfig(seed=0, tol=0.0, max_iter=iters))
-            best = min(best, time.perf_counter() - start)
-        times[iters] = best
-    return (times[25] - times[5]) / 20.0
+            best[iters] = min(best[iters], time.perf_counter() - start)
+    return (best[25] - best[5]) / 20.0
 
 
 def test_criterion_6_linear_scaling():

@@ -25,18 +25,29 @@ def test_two_pairs_centroids_at_means():
     assert res.assignment[2] == res.assignment[3]
 
 
-def test_inertia_trace_non_increasing():
+def test_inertia_is_the_cost_of_the_returned_assignment():
     rng = np.random.default_rng(17)
     for _ in range(50):
         d = int(rng.integers(2, 8))
         n = int(rng.integers(8, 60))
         k = int(rng.integers(2, min(6, n)))
-        res = kmeans_fit(rng.standard_normal((d, n)), k,
-                         seed=int(rng.integers(2**31)))
-        trace = res.inertia_trace
-        assert all(trace[i + 1] <= trace[i] + 1e-9 for i in range(len(trace) - 1))
-        assert res.inertia == pytest.approx(trace[-1])
+        points = rng.standard_normal((d, n))
+        res = kmeans_fit(points, k, seed=int(rng.integers(2**31)))
         assert res.assignment.min() >= 0 and res.assignment.max() < k
+        cost = np.sum((points.T - res.centroids[res.assignment]) ** 2)
+        assert abs(res.inertia - cost) <= 1e-9
+
+
+@pytest.mark.parametrize("points", [[[5.0, 0.0, 0.0, 0.0]],
+                                    [[1.0, 0.0, 0.0, 0.0, 0.0, 0.0]]])
+def test_duplicate_points_leave_no_cluster_empty(points):
+    # two distinct points for three clusters: a relocation must not take
+    # the only member of another cluster, or its mean divides 0 by 0
+    for seed in range(20):
+        res = kmeans_fit(np.array(points), 3, seed=seed)
+        assert np.bincount(res.assignment, minlength=3).min() >= 1
+        assert res.inertia == 0.0
+        assert res.iterations <= 2
 
 
 def test_kmeans_deterministic():

@@ -459,7 +459,7 @@ def test_sweep_prepares_once(tmp_path, monkeypatch):
     calls = []
     real = solver._initialize
     monkeypatch.setattr(solver, "_initialize",
-                        lambda prob, cfg: calls.append(cfg) or real(prob, cfg))
+                        lambda prob, *args: calls.append(args) or real(prob, *args))
     code, _, _ = run_cli(["sweep", "--data", str(FIXTURE_DIR),
                           "--lambda1-grid", "1,10", "--lambda2-grid", "1,10",
                           "--jobs", "1", "--out", str(tmp_path)])

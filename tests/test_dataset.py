@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import FIXTURE_DIR, concat_kmeans_ncd
+from conftest import FIXTURE_DIR, concat_kmeans_ncd, traced_peak
 
 from mvncd import dataset
 from mvncd.dataset import (
@@ -187,6 +187,38 @@ def test_normalized_dataset_is_returned_as_itself(mode):
                for a, b in zip(ds.views, _tiny(seed=6).views))
     # a subset is not normalized over itself, so it claims no mode
     assert unlabeled_subset(once).normalization == "none"
+
+
+def _zscore_in_place(x):
+    """x z-scored in place by the loader's path, and the same z-score
+    computed with np.std from a copy of x."""
+    std = x.std(axis=1, keepdims=True)
+    want = (x - x.mean(axis=1, keepdims=True)) / np.where(std > 0, std, 1.0)
+    ds = make_dataset([x], np.arange(x.shape[1]) % 2, 2)
+    peak = traced_peak(dataset._normalized, ds, "zscore", True)
+    assert ds.views[0].data is x
+    return peak, want
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_zscore_in_place_holds_no_copy_of_the_view(layout):
+    # np.std would centre a second, view-sized copy; the variance is summed
+    # from the centred view a block of rows at a time instead
+    x = np.asarray(3.0 * np.random.default_rng(0).standard_normal((100, 20_000))
+                   + 1.0, order=layout)
+    peak, want = _zscore_in_place(x)
+    assert peak < 0.25 * x.nbytes
+    assert x.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+@pytest.mark.parametrize("shape", [(7, 150_000), (1, 200_000), (3, 5)])
+def test_zscore_in_place_keeps_the_bits_of_np_std(layout, shape):
+    # rows longer than a block: a block of one F-ordered row out of several
+    # would be summed in another order than np.std's
+    x = np.asarray(np.random.default_rng(1).standard_normal(shape), order=layout)
+    _, want = _zscore_in_place(x)
+    assert x.tobytes() == want.tobytes()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -15,8 +15,7 @@ from mvncd.metrics import (
 
 def brute_force_acc(pred, truth):
     """Best cluster-to-class matching by enumerating injections directly."""
-    table = contingency_table(pred, truth)
-    counts = table.counts
+    counts = contingency_table(pred, truth)
     r, c = counts.shape
     if r <= c:
         best = max(sum(counts[i, p[i]] for i in range(r))

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -155,8 +156,8 @@ def test_initial_assignment_is_kmeans_on_stacked_unlabeled_views(layout):
     # the benchmark's replay runs k-means on this np.vstack input and
     # requires the same assignment as initialization's
     for seed in (0, 1):
-        cfg = SolverConfig(seed=seed)
-        prob = solver._build_problem(_shuffled_blobs(layout, seed=seed), cfg)
+        prob = solver._build_problem(_shuffled_blobs(layout, seed=seed),
+                                     "zscore", False)
         unlabeled = prob.unlabeled
         assert all(x.flags[f"{layout}_CONTIGUOUS"] for x in prob.xs)
         # scattered, so k-means reads labeled columns inside the span and
@@ -165,7 +166,7 @@ def test_initial_assignment_is_kmeans_on_stacked_unlabeled_views(layout):
         stacked = np.vstack([x[:, unlabeled] for x in prob.xs])
         km_seed = int(np.random.default_rng(seed).integers(2**32))
         km = kmeans_fit(stacked, prob.num_classes - prob.num_known, km_seed)
-        y = solver._initial_assignment(prob, cfg)
+        y = solver._initial_assignment(prob, seed, "kmeans")
         assert np.array_equal(y[unlabeled], prob.num_known + km.assignment)
 
 
@@ -174,12 +175,12 @@ def test_initial_assignment_holds_no_copy_of_the_kmeans_input():
     # k x n products over the unlabeled samples' column span (here the
     # whole sample axis), 0.14x the input at k = 4. A stacked copy of the
     # input alone is 1x, a gather of one of the four balanced classes 0.25x.
-    cfg = SolverConfig()
     prob = solver._build_problem(_shuffled_blobs("F", per_class=1000,
                                                  dims=(100, 100, 100),
-                                                 separation=20.0), cfg)
+                                                 separation=20.0), "zscore", False)
     input_bytes = prob.unlabeled.size * sum(x.shape[0] for x in prob.xs) * 8
-    assert traced_peak(solver._initial_assignment, prob, cfg) < 0.25 * input_bytes
+    peak = traced_peak(solver._initial_assignment, prob, 0, "kmeans")
+    assert peak < 0.25 * input_bytes
 
 
 def test_leading_basis_spans_top_singular_subspace():
@@ -553,29 +554,6 @@ def _overlapping_blobs(seed=5):
                                             noise=1.0, seed=seed))
 
 
-class _ReadRecorder:
-    def __init__(self, cfg):
-        self._cfg = cfg
-        self.read = set()
-
-    def __getattr__(self, name):
-        self.read.add(name)
-        return getattr(self._cfg, name)
-
-
-def test_prepare_key_is_every_config_field_preparation_reads():
-    ds = _overlapping_blobs()
-    read = set()
-    for ablate in (False, True):
-        for init in ("kmeans", "random"):
-            recorder = _ReadRecorder(SolverConfig(ablate_labeled=ablate,
-                                                  init_y_novel=init))
-            prob = solver._build_problem(ds, recorder)
-            solver._initialize(prob, recorder)
-            read |= recorder.read
-    assert read == set(solver._PREPARE_FIELDS)
-
-
 def test_prepare_reuses_only_on_same_dataset_and_key():
     ds = _overlapping_blobs()
     base = SolverConfig(seed=0, max_iter=20)
@@ -605,7 +583,7 @@ def test_prepare_reused_across_lambdas(monkeypatch):
     calls = []
     real = solver._initialize
     monkeypatch.setattr(solver, "_initialize",
-                        lambda prob, cfg: calls.append(cfg) or real(prob, cfg))
+                        lambda prob, *args: calls.append(args) or real(prob, *args))
     solver._prepared = None
     for lambda1 in (1.0, 10.0):
         for lambda2 in (1.0, 100.0):
@@ -736,6 +714,22 @@ def test_supervision_holds_overlapping_known_class():
     defections = np.count_nonzero(relaxed.state.y[ds.labeled_indices] != truth_rows)
     assert defections > 0
     assert np.array_equal(held.state.y[ds.labeled_indices], truth_rows)
+
+
+def test_fit_on_duplicate_unlabeled_points_warns_nothing():
+    # six unlabeled samples hold two distinct points, one of them once, for
+    # three novel classes: the k-means start must leave no cluster empty
+    rng = np.random.default_rng(0)
+    views = [np.hstack([rng.standard_normal((d, 4)),
+                        rng.standard_normal((d, 2))[:, [0, 1, 1, 1, 1, 1]]])
+             for d in (6, 7)]
+    ds = make_dataset(views, np.array([0, 0, 1, 1, 2, 2, 3, 3, 4, 4]), 5,
+                      known_classes=[0, 1])
+    for seed in range(5):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = fit(ds, SolverConfig(seed=seed, max_iter=10))
+        assert is_monotone(result.objective_trace)
 
 
 # --- invariant helpers ---
