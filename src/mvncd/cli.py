@@ -29,7 +29,7 @@ from mvncd.dataset import (
     write_dataset,
 )
 from mvncd.metrics import clustering_accuracy, nmi, purity
-from mvncd.solver import FitResult, SolverConfig, fit, is_monotone
+from mvncd.solver import INIT_MODES, FitResult, SolverConfig, fit, is_monotone
 
 SCHEMA_VERSION = 1
 EXIT_OK = 0
@@ -59,15 +59,19 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=mvncd.__version__)
     sub = parser.add_subparsers(dest="command", metavar="{run,sweep,synth,eval}")
 
-    run = sub.add_parser("run", help="fit one configuration and write a report")
+    # a flag that is not given stays out of the namespace, so the field it
+    # names keeps its SolverConfig or SyntheticSpec default
+    run = sub.add_parser("run", help="fit one configuration and write a report",
+                         argument_default=argparse.SUPPRESS)
     _add_data_flags(run)
     _add_solver_flags(run)
-    run.add_argument("--lambda1", type=float, default=1.0)
-    run.add_argument("--lambda2", type=float, default=1.0)
+    run.add_argument("--lambda1", type=float)
+    run.add_argument("--lambda2", type=float)
     run.add_argument("--out", required=True, help="output directory")
     run.set_defaults(func=cmd_run)
 
-    sweep = sub.add_parser("sweep", help="grid search over lambda1 and lambda2")
+    sweep = sub.add_parser("sweep", help="grid search over lambda1 and lambda2",
+                           argument_default=argparse.SUPPRESS)
     _add_data_flags(sweep)
     _add_solver_flags(sweep)
     sweep.add_argument("--lambda1-grid", type=_parse_floats, default=DEFAULT_GRID)
@@ -78,14 +82,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out", required=True, help="output directory")
     sweep.set_defaults(func=cmd_sweep)
 
-    synth = sub.add_parser("synth", help="generate a synthetic dataset")
-    synth.add_argument("--views", type=int, default=2)
-    synth.add_argument("--classes", type=int, default=4)
-    synth.add_argument("--per-class", type=int, default=30)
-    synth.add_argument("--dims", type=_parse_ints, default=(8,))
-    synth.add_argument("--separation", type=float, default=6.0)
-    synth.add_argument("--noise", type=_parse_floats, default=(1.0,))
-    synth.add_argument("--seed", type=int, default=0)
+    synth = sub.add_parser("synth", help="generate a synthetic dataset",
+                           argument_default=argparse.SUPPRESS)
+    synth.add_argument("--views", type=int)
+    synth.add_argument("--classes", type=int)
+    synth.add_argument("--per-class", type=int)
+    synth.add_argument("--dims", type=_parse_ints)
+    synth.add_argument("--separation", type=float)
+    synth.add_argument("--noise", type=_parse_floats)
+    synth.add_argument("--seed", type=int)
     synth.add_argument("--out", required=True, help="output directory")
     synth.set_defaults(func=cmd_synth)
 
@@ -105,11 +110,11 @@ def _add_data_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--max-iter", type=int, default=100)
-    sub.add_argument("--tol", type=float, default=1e-7)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--normalize", choices=NORMALIZATIONS, default="zscore")
-    sub.add_argument("--init-y", choices=("kmeans", "random"), default="kmeans")
+    sub.add_argument("--max-iter", type=int)
+    sub.add_argument("--tol", type=float)
+    sub.add_argument("--seed", type=int)
+    sub.add_argument("--normalize", choices=NORMALIZATIONS)
+    sub.add_argument("--init-y", choices=INIT_MODES, dest="init_y_novel")
     sub.add_argument("--ablate-alpha", action="store_true")
     sub.add_argument("--ablate-labeled", action="store_true")
     sub.add_argument("--hard-restrict-novel", action="store_true")
@@ -123,25 +128,21 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in str(text).split(",") if tok != "")
 
 
-def _config_from_args(args, lambda1: float, lambda2: float) -> SolverConfig:
-    return SolverConfig(
-        lambda1=lambda1,
-        lambda2=lambda2,
-        max_iter=args.max_iter,
-        tol=args.tol,
-        seed=args.seed,
-        init_y_novel=args.init_y,
-        normalize=args.normalize,
-        ablate_alpha=args.ablate_alpha,
-        ablate_labeled=args.ablate_labeled,
-        hard_restrict_novel=args.hard_restrict_novel,
-    )
+def _from_flags(cls, args):
+    """A ``cls`` (SolverConfig or SyntheticSpec) with the value of every
+    given flag named after one of its fields and the default of the rest."""
+    given = vars(args)
+    return cls(**{f.name: given[f.name] for f in dataclasses.fields(cls)
+                  if f.name in given})
+
+
+def _scores(pred: np.ndarray, truth: np.ndarray) -> dict:
+    return {"acc": clustering_accuracy(pred, truth), "nmi": nmi(pred, truth),
+            "purity": purity(pred, truth)}
 
 
 def _execute(ds, cfg) -> tuple[dict, FitResult]:
     result = fit(ds, cfg)
-    truth = ds.labels[ds.unlabeled_indices]
-    pred = result.novel_assignment
     report = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": mvncd.__version__,
@@ -156,11 +157,8 @@ def _execute(ds, cfg) -> tuple[dict, FitResult]:
             "num_novel_classes": ds.num_novel,
         },
         "config": dataclasses.asdict(cfg),
-        "metrics": {
-            "acc": clustering_accuracy(pred, truth),
-            "nmi": nmi(pred, truth),
-            "purity": purity(pred, truth),
-        },
+        "metrics": _scores(result.novel_assignment,
+                           ds.labels[ds.unlabeled_indices]),
         "alpha": [float(a) for a in result.alpha_trace[-1]],
         "objective_trace": [float(x) for x in result.objective_trace],
         "iterations": result.iterations,
@@ -170,19 +168,19 @@ def _execute(ds, cfg) -> tuple[dict, FitResult]:
     return report, result
 
 
-def _load_for_fit(args):
-    """The dataset as ``fit`` will read it. The views are normalized in
-    place while loading, so no raw copy stays alive through the fits;
-    ``--ablate-labeled`` normalizes over the unlabeled samples only, so it
-    loads the raw views and leaves that to ``fit``."""
-    mode = "none" if args.ablate_labeled else args.normalize
+def _load_for_fit(args, cfg: SolverConfig):
+    """The dataset as ``fit`` will read it under ``cfg``. The views are
+    normalized in place while loading, so no raw copy stays alive through
+    the fits; ``ablate_labeled`` normalizes over the unlabeled samples
+    only, so it loads the raw views and leaves that to ``fit``."""
+    mode = "none" if cfg.ablate_labeled else cfg.normalize
     return load_dataset(args.data, known_classes=args.known_classes,
                         normalize=mode)
 
 
 def cmd_run(args) -> int:
-    ds = _load_for_fit(args)
-    cfg = _config_from_args(args, args.lambda1, args.lambda2)
+    cfg = _from_flags(SolverConfig, args)
+    ds = _load_for_fit(args, cfg)
     report, result = _execute(ds, cfg)
     if not is_monotone(result.objective_trace):
         print("error: objective trace is not monotonically non-increasing; "
@@ -218,8 +216,8 @@ def cmd_sweep(args) -> int:
     if not args.lambda1_grid or not args.lambda2_grid:
         raise ValueError("each lambda grid needs at least one value")
     # every cell shares these settings, so an error in them refuses the sweep
-    base = _config_from_args(args, 0.0, 0.0)
-    ds = _load_for_fit(args)
+    base = _from_flags(SolverConfig, args)
+    ds = _load_for_fit(args, base)
     out = Path(args.out)
     rows = ["lambda1,lambda2,acc,nmi,purity,status"]
     for l1 in args.lambda1_grid:
@@ -227,13 +225,12 @@ def cmd_sweep(args) -> int:
             t1, t2 = _grid_text(l1), _grid_text(l2)
             try:
                 cfg = dataclasses.replace(base, lambda1=l1, lambda2=l2)
+            except ValueError as exc:  # this cell's own lambdas: record it
+                status = f"error: {exc}"
+            else:
                 report, result = _execute(ds, cfg)
                 status = ("ok" if is_monotone(result.objective_trace)
                           else "error: non-monotone objective trace")
-            except DatasetError:  # the data fails every cell alike: refuse it
-                raise
-            except Exception as exc:  # record the failure, keep sweeping
-                status = f"error: {exc}"
             if status == "ok":
                 name = f"run_l1_{t1}_l2_{t2}.json"
                 _write_atomic(out / name, json.dumps(report, indent=2) + "\n")
@@ -258,16 +255,7 @@ def _grid_text(x: float) -> str:
 
 
 def cmd_synth(args) -> int:
-    spec = SyntheticSpec(
-        views=args.views,
-        classes=args.classes,
-        per_class=args.per_class,
-        dims=args.dims,
-        separation=args.separation,
-        noise=args.noise,
-        seed=args.seed,
-    )
-    ds = generate_synthetic(spec)
+    ds = generate_synthetic(_from_flags(SyntheticSpec, args))
     manifest = write_dataset(ds, args.out)
     print(f"dataset written to {manifest}")
     return EXIT_OK
@@ -288,12 +276,7 @@ def cmd_eval(args) -> int:
             f"assignment has {pred.size} entries, dataset has "
             f"{truth.size} unlabeled samples"
         )
-    scores = {
-        "acc": clustering_accuracy(pred, truth),
-        "nmi": nmi(pred, truth),
-        "purity": purity(pred, truth),
-    }
-    print(json.dumps(scores))
+    print(json.dumps(_scores(pred, truth)))
     return EXIT_OK
 
 

@@ -231,10 +231,10 @@ def _normalized(ds: MultiViewDataset, mode: str, in_place: bool) -> MultiViewDat
         out = data if in_place else np.empty_like(data)
         if mode == "zscore":
             np.subtract(data, data.mean(axis=1, keepdims=True), out=out)
-            std = np.sqrt(_row_sums_of_squares(out) / out.shape[1])
+            std = np.sqrt(_sums_of_squares(out, axis=1) / out.shape[1])
             np.divide(out, np.where(std > 0, std, 1.0), out=out)
         else:
-            norms = np.linalg.norm(data, axis=0, keepdims=True)
+            norms = np.sqrt(_sums_of_squares(data, axis=0))
             np.divide(data, np.where(norms > 0, norms, 1.0), out=out)
         # a mean that overflows leaves infinities; min and max propagate
         # them and NaN without a data-sized mask
@@ -244,14 +244,17 @@ def _normalized(ds: MultiViewDataset, mode: str, in_place: bool) -> MultiViewDat
     return replace(ds, views=tuple(views), normalization=mode)
 
 
-def _row_sums_of_squares(x: np.ndarray) -> np.ndarray:
-    """Each row's sum of squares, summed as np.std sums its centred copy,
-    squaring about 1 MiB of rows at a time. A block holds two rows or more:
-    numpy sums a lone strided row pairwise, an F-ordered array's rows a
-    column at a time."""
-    blocks = max(1, min(x.shape[0] // 2, x.nbytes >> 20))
-    return np.concatenate([np.square(part).sum(axis=1, keepdims=True)
-                           for part in np.array_split(x, blocks)])
+def _sums_of_squares(x: np.ndarray, axis: int) -> np.ndarray:
+    """The sums of squares of ``x`` along ``axis`` (kept as a length-1
+    axis), summed as np.std sums its centred copy and np.linalg.norm its
+    squares, squaring about 1 MiB of lines at a time. A block holds two
+    lines or more: numpy sums a lone strided line pairwise, but the lines
+    of a whole array across their stride one element at a time."""
+    other = 1 - axis
+    blocks = max(1, min(x.shape[other] // 2, x.nbytes >> 20))
+    return np.concatenate([np.square(part).sum(axis=axis, keepdims=True)
+                           for part in np.array_split(x, blocks, axis=other)],
+                          axis=other)
 
 
 def encode_onehot(labels: np.ndarray, num_classes: int) -> np.ndarray:

@@ -29,6 +29,7 @@ from mvncd.dataset import (
 
 RIDGE = 1e-8          # keeps centroid columns of empty classes defined
 DESCENT_SLACK = 1e-9  # relative slack for monotone-descent checks
+INIT_MODES = ("kmeans", "random")
 
 
 @dataclass
@@ -48,8 +49,8 @@ class SolverConfig:
     max_iter: int = 100
     tol: float = 1e-7
     seed: int = 0
-    init_y_novel: str = "kmeans"    # {"kmeans", "random"}
-    normalize: str = "zscore"       # {"zscore", "l2", "none"}
+    init_y_novel: str = "kmeans"    # one of INIT_MODES
+    normalize: str = "zscore"       # one of NORMALIZATIONS
     ablate_alpha: bool = False
     ablate_labeled: bool = False
     hard_restrict_novel: bool = False
@@ -62,7 +63,7 @@ class SolverConfig:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.init_y_novel not in ("kmeans", "random"):
+        if self.init_y_novel not in INIT_MODES:
             raise ValueError(f"unknown init_y_novel: {self.init_y_novel!r}")
         if self.normalize not in NORMALIZATIONS:
             raise ValueError(f"unknown normalize mode: {self.normalize!r}")
@@ -154,6 +155,11 @@ class _Problem:
 
 def _build_problem(ds: MultiViewDataset, normalize: str,
                    ablate_labeled: bool) -> _Problem:
+    if not ds.num_unlabeled:
+        raise DatasetError(
+            f"no unlabeled samples: none of the novel classes "
+            f"{ds.novel_classes.tolist()} has a sample to cluster"
+        )
     work = unlabeled_subset(ds) if ablate_labeled else ds
     work = normalize_features(work, normalize)
     k = work.num_classes
@@ -246,15 +252,13 @@ def _initial_assignment(prob: _Problem, seed: int, init_y_novel: str) -> np.ndar
     k = prob.num_classes
     y = np.zeros(prob.xs[0].shape[1], dtype=int)
     y[prob.labeled] = prob.truth_rows
-    n_u = prob.unlabeled.size
-    if n_u:
-        k_u = k - prob.num_known
-        if init_y_novel == "kmeans" and n_u >= k_u:
-            km = kmeans_fit(prob.xs, k_u, seed=int(rng.integers(2**32)),
-                            cols=prob.unlabeled)
-            y[prob.unlabeled] = prob.num_known + km.assignment
-        else:
-            y[prob.unlabeled] = rng.integers(prob.num_known, k, size=n_u)
+    n_u, k_u = prob.unlabeled.size, k - prob.num_known
+    if init_y_novel == "kmeans" and n_u >= k_u:
+        km = kmeans_fit(prob.xs, k_u, seed=int(rng.integers(2**32)),
+                        cols=prob.unlabeled)
+        y[prob.unlabeled] = prob.num_known + km.assignment
+    else:
+        y[prob.unlabeled] = rng.integers(prob.num_known, k, size=n_u)
     return y
 
 

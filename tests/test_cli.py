@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -20,7 +21,7 @@ from mvncd.dataset import (
     make_dataset,
     write_dataset,
 )
-from mvncd.solver import FitResult
+from mvncd.solver import FitResult, SolverConfig
 
 REPORT_KEYS = {
     "schema_version", "tool_version", "seed", "dataset", "config",
@@ -142,7 +143,7 @@ def test_run_equals_fit_on_the_views_as_stored(tmp_path, flags):
     assert code == 0
     args = mvncd.cli._build_parser().parse_args(
         ["run", "--data", str(FIXTURE_DIR), "--out", str(tmp_path), *flags])
-    cfg = mvncd.cli._config_from_args(args, args.lambda1, args.lambda2)
+    cfg = mvncd.cli._from_flags(SolverConfig, args)
     result = solver.fit(load_dataset(FIXTURE_DIR), cfg)
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["objective_trace"] == result.objective_trace
@@ -150,6 +151,29 @@ def test_run_equals_fit_on_the_views_as_stored(tmp_path, flags):
     assert (tmp_path / "trace.csv").read_text() == mvncd.cli._trace_csv(result)
     assert (tmp_path / "assignment.csv").read_text() == "".join(
         f"{int(c)}\n" for c in result.novel_assignment)
+
+
+def test_run_without_solver_flags_uses_the_config_defaults(tmp_path):
+    assert run_fixture(tmp_path)[0] == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["config"] == dataclasses.asdict(SolverConfig())
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_data_without_unlabeled_samples_is_refused(tmp_path, command):
+    # classes 2 and 3 are novel under the default split, but no sample has
+    # either label
+    base = load_dataset(FIXTURE_DIR)
+    keep = base.labeled_indices
+    write_dataset(make_dataset([v.data[:, keep] for v in base.views],
+                               base.labels[keep], 4), tmp_path / "data")
+    out = tmp_path / "out"
+    code, stdout, stderr = run_cli([command, "--data", str(tmp_path / "data"),
+                                    "--out", str(out)])
+    assert code == 2 and stdout == ""
+    assert stderr == ("error: no unlabeled samples: none of the novel classes "
+                      "[2, 3] has a sample to cluster\n")
+    assert not out.exists()
 
 
 @pytest.mark.skipif(os.name != "posix", reason="umask semantics are POSIX")
@@ -305,6 +329,16 @@ def test_synth_deterministic(tmp_path):
             (tmp_path / "b" / name).read_bytes()
 
 
+def test_synth_without_flags_writes_the_default_spec(tmp_path):
+    assert run_cli(["synth", "--out", str(tmp_path / "cli")])[0] == 0
+    write_dataset(generate_synthetic(SyntheticSpec()), tmp_path / "lib")
+    names = sorted(p.name for p in (tmp_path / "lib").iterdir())
+    assert sorted(p.name for p in (tmp_path / "cli").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "cli" / name).read_bytes() == \
+            (tmp_path / "lib" / name).read_bytes(), name
+
+
 def test_synth_odd_class_split(tmp_path):
     code, _, _ = run_cli(["synth", "--classes", "7", "--per-class", "4",
                           "--dims", "8", "--out", str(tmp_path)])
@@ -405,6 +439,19 @@ def test_sweep_records_non_finite_lambda_as_cell_error(tmp_path):
         assert row.startswith("nan,") and "lambda1 must be finite" in row
         assert "got nan" in row
     assert "lambda1=nan" in stderr
+
+
+def test_sweep_lets_a_solver_defect_through(tmp_path, monkeypatch):
+    # only a cell's own lambdas make an error row; anything a fit raises
+    # ends the sweep before it writes a summary
+    def broken(ds, cfg):
+        raise RuntimeError("solver defect")
+
+    monkeypatch.setattr(mvncd.cli, "fit", broken)
+    with pytest.raises(RuntimeError, match="solver defect"):
+        run_cli(["sweep", "--data", str(FIXTURE_DIR), "--lambda1-grid", "1",
+                 "--lambda2-grid", "1", "--out", str(tmp_path)])
+    assert not (tmp_path / "summary.csv").exists()
 
 
 def test_sweep_refuses_dataset_the_model_cannot_fit(tmp_path):

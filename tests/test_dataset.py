@@ -189,35 +189,46 @@ def test_normalized_dataset_is_returned_as_itself(mode):
     assert unlabeled_subset(once).normalization == "none"
 
 
-def _zscore_in_place(x):
-    """x z-scored in place by the loader's path, and the same z-score
-    computed with np.std from a copy of x."""
-    std = x.std(axis=1, keepdims=True)
-    want = (x - x.mean(axis=1, keepdims=True)) / np.where(std > 0, std, 1.0)
+def _normalized_in_place(x, mode):
+    """x normalized in place by the loader's path, and the same result
+    computed from a copy of x with np.std (zscore) or np.linalg.norm (l2)."""
+    if mode == "zscore":
+        std = x.std(axis=1, keepdims=True)
+        want = (x - x.mean(axis=1, keepdims=True)) / np.where(std > 0, std, 1.0)
+    else:
+        norms = np.linalg.norm(x, axis=0, keepdims=True)
+        want = x / np.where(norms > 0, norms, 1.0)
     ds = make_dataset([x], np.arange(x.shape[1]) % 2, 2)
-    peak = traced_peak(dataset._normalized, ds, "zscore", True)
+    peak = traced_peak(dataset._normalized, ds, mode, True)
     assert ds.views[0].data is x
     return peak, want
 
 
-@pytest.mark.parametrize("layout", ["C", "F"])
-def test_zscore_in_place_holds_no_copy_of_the_view(layout):
-    # np.std would centre a second, view-sized copy; the variance is summed
-    # from the centred view a block of rows at a time instead
+# z-score, the default mode, is named by its layout alone
+LAYOUT_MODES = [pytest.param(layout, mode, id=layout if mode == "zscore"
+                             else f"{mode}-{layout}")
+                for mode in ("zscore", "l2") for layout in ("C", "F")]
+
+
+@pytest.mark.parametrize("layout, mode", LAYOUT_MODES)
+def test_zscore_in_place_holds_no_copy_of_the_view(layout, mode):
+    # np.std would centre, np.linalg.norm square, a second view-sized copy;
+    # the sums of squares are taken a block of lines at a time instead
     x = np.asarray(3.0 * np.random.default_rng(0).standard_normal((100, 20_000))
                    + 1.0, order=layout)
-    peak, want = _zscore_in_place(x)
+    peak, want = _normalized_in_place(x, mode)
     assert peak < 0.25 * x.nbytes
     assert x.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("layout", ["C", "F"])
-@pytest.mark.parametrize("shape", [(7, 150_000), (1, 200_000), (3, 5)])
-def test_zscore_in_place_keeps_the_bits_of_np_std(layout, shape):
-    # rows longer than a block: a block of one F-ordered row out of several
-    # would be summed in another order than np.std's
+@pytest.mark.parametrize("layout, mode", LAYOUT_MODES)
+@pytest.mark.parametrize("shape", [(7, 150_000), (1, 200_000), (3, 5),
+                                   (150_000, 7)])
+def test_zscore_in_place_keeps_the_bits_of_np_std(layout, mode, shape):
+    # lines longer than a block: a block of one strided line out of several
+    # would be summed in another order than numpy's
     x = np.asarray(np.random.default_rng(1).standard_normal(shape), order=layout)
-    _, want = _zscore_in_place(x)
+    _, want = _normalized_in_place(x, mode)
     assert x.tobytes() == want.tobytes()
 
 
