@@ -33,7 +33,6 @@ class ViewMatrix:
     """One feature view of the sample set, features in rows."""
 
     data: np.ndarray
-    view_index: int
 
     @property
     def dim(self) -> int:
@@ -164,7 +163,7 @@ def _checked_views(view_arrays: Sequence[np.ndarray], n: int) -> tuple[ViewMatri
             raise DatasetError(f"view {i}: has {arr.shape[1]} samples, labels have {n}")
         if not np.all(np.isfinite(arr)):
             raise DatasetError(f"view {i}: contains non-finite values")
-        views.append(ViewMatrix(data=arr, view_index=i))
+        views.append(ViewMatrix(data=arr))
     return tuple(views)
 
 
@@ -210,8 +209,6 @@ def normalize_features(ds: MultiViewDataset, mode: str = "zscore") -> MultiViewD
     it is, the same object.
     """
     _check_mode(mode)
-    if mode == "none" or mode == ds.normalization:
-        return ds
     return _normalized(ds, mode, in_place=False)
 
 
@@ -221,12 +218,15 @@ def _check_mode(mode: str) -> None:
 
 
 def _normalized(ds: MultiViewDataset, mode: str, in_place: bool) -> MultiViewDataset:
-    """``ds`` with its views normalized under ``mode`` (zscore or l2), into
-    new arrays or, with ``in_place``, into the views' own arrays. A new
-    array is laid out as its source, so both ways make the same ufunc calls
-    on the same layout and give the same bits."""
+    """``ds`` with its views normalized under ``mode``, into new arrays or,
+    with ``in_place``, into the views' own arrays; ``ds`` itself when
+    ``mode`` is "none" or already ``ds.normalization``. A new array is laid
+    out as its source, so both ways make the same ufunc calls on the same
+    layout and give the same bits."""
+    if mode == "none" or mode == ds.normalization:
+        return ds
     views = []
-    for view in ds.views:
+    for i, view in enumerate(ds.views):
         data = view.data
         out = data if in_place else np.empty_like(data)
         if mode == "zscore":
@@ -239,8 +239,8 @@ def _normalized(ds: MultiViewDataset, mode: str, in_place: bool) -> MultiViewDat
         # a mean that overflows leaves infinities; min and max propagate
         # them and NaN without a data-sized mask
         if not (np.isfinite(out.min()) and np.isfinite(out.max())):
-            raise DatasetError(f"view {view.view_index}: contains non-finite values")
-        views.append(ViewMatrix(data=out, view_index=view.view_index))
+            raise DatasetError(f"view {i}: contains non-finite values")
+        views.append(ViewMatrix(data=out))
     return replace(ds, views=tuple(views), normalization=mode)
 
 
@@ -299,7 +299,7 @@ def load_dataset(path: str | Path, known_classes: Sequence[int] | None = None,
                                f"columns, manifest declares {dim}")
         arrays.append(arr.T)
     ds = MultiViewDataset(views=_checked_views(arrays, split["labels"].size), **split)
-    return ds if normalize == "none" else _normalized(ds, normalize, in_place=True)
+    return _normalized(ds, normalize, in_place=True)
 
 
 def read_manifest(path: str | Path, known_classes: Sequence[int] | None = None
@@ -483,8 +483,8 @@ def write_dataset(ds: MultiViewDataset, directory: str | Path) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     entries = []
-    for view in ds.views:
-        name = f"view_{view.view_index}.csv"
+    for i, view in enumerate(ds.views):
+        name = f"view_{i}.csv"
         np.savetxt(directory / name, view.data.T, fmt="%.17g", delimiter=",")
         entries.append({"path": name, "dim": view.dim})
     np.savetxt(directory / "labels.csv", ds.labels[:, None], fmt="%d")

@@ -22,6 +22,7 @@ from mvncd.dataset import (
     NORMALIZATIONS,
     DatasetError,
     MultiViewDataset,
+    _normalized,
     encode_onehot,
     normalize_features,
     unlabeled_subset,
@@ -160,18 +161,21 @@ def _build_problem(ds: MultiViewDataset, normalize: str,
             f"no unlabeled samples: none of the novel classes "
             f"{ds.novel_classes.tolist()} has a sample to cluster"
         )
-    work = unlabeled_subset(ds) if ablate_labeled else ds
-    work = normalize_features(work, normalize)
+    if ablate_labeled:
+        # the subset is a fresh copy, so it is normalized in place
+        work = _normalized(unlabeled_subset(ds), normalize, in_place=True)
+    else:
+        work = normalize_features(ds, normalize)
     k = work.num_classes
-    for view in work.views:
+    for i, view in enumerate(work.views):
         if view.dim < k:
             raise DatasetError(
-                f"view {view.view_index}: {view.dim} features cannot carry an "
+                f"view {i}: {view.dim} features cannot carry an "
                 f"orthonormal basis for {k} classes"
             )
         if not np.ptp(view.data, axis=1).any():
             raise DatasetError(
-                f"view {view.view_index}: every feature is constant over the "
+                f"view {i}: every feature is constant over the "
                 f"{view.num_samples} samples, so it carries no cluster structure"
             )
     rows = work.class_rows()
@@ -229,13 +233,15 @@ def initialize(ds: MultiViewDataset, cfg: SolverConfig) -> ModelState:
 
 def _initialize(prob: _Problem, seed: int,
                 init_y_novel: str) -> tuple[ModelState, ClassStats]:
+    """The initial assignment and, for it, the exact minimizer of the basis
+    and centroid blocks: each basis is the Q factor of the view's class
+    sums S_v, so basis @ centroids is S_v / (counts + RIDGE)."""
     k = prob.num_classes
     num_views = len(prob.xs)
-    bases = [_leading_basis(x, k) for x in prob.xs]
     y = _initial_assignment(prob, seed, init_y_novel)
     stats = class_stats(prob.xs, y, k)
     state = ModelState(
-        bases=bases,
+        bases=[q.copy() for q, _ in stats.frames],
         centroids=[np.zeros((k, k)) for _ in range(num_views)],
         y=y,
         view_weights=np.full(num_views, 1.0 / num_views),
@@ -260,15 +266,6 @@ def _initial_assignment(prob: _Problem, seed: int, init_y_novel: str) -> np.ndar
     else:
         y[prob.unlabeled] = rng.integers(prob.num_known, k, size=n_u)
     return y
-
-
-def _leading_basis(x: np.ndarray, k: int) -> np.ndarray:
-    """Top-k eigenvectors of the d x d Gram X X^T, largest first: an
-    orthonormal basis of the view's leading k-dimensional left subspace.
-    Only its span matters: a rotation inside it cancels between the
-    centroids and the next basis update."""
-    _, vecs = np.linalg.eigh(x @ x.T)
-    return vecs[:, ::-1][:, :k].copy()
 
 
 _SCATTER_COLUMNS = 1024   # samples per block of the scatter pass

@@ -19,6 +19,7 @@ from mvncd.dataset import (
     generate_synthetic,
     make_dataset,
     normalize_features,
+    unlabeled_subset,
 )
 from mvncd import solver
 from mvncd.baselines import kmeans_fit
@@ -37,7 +38,6 @@ from mvncd.solver import (
     update_labels_known,
     update_labels_novel,
     update_view_weights,
-    _leading_basis,
 )
 
 I2 = np.eye(2)
@@ -137,6 +137,46 @@ def test_initialize_random_mode():
     assert state.y[ds.unlabeled_indices].min() >= ds.num_known
 
 
+def _start_cases():
+    """(dataset, config, whether a one-hot row starts empty) triples."""
+    rng = np.random.default_rng(12)
+    cases = [(random_dataset(rng), SolverConfig(seed=seed, normalize=normalize),
+              False)
+             for seed, normalize in ((0, "zscore"), (1, "l2"), (2, "none"))]
+    cases.append((random_dataset(rng, per_class=10),
+                  SolverConfig(seed=3, init_y_novel="random"), False))
+    # known class 0 has no sample, so its row starts (and stays) empty
+    full = random_dataset(rng)
+    keep = full.labels != 0
+    cases.append((make_dataset([v.data[:, keep] for v in full.views],
+                               full.labels[keep], full.num_classes,
+                               full.known_classes), SolverConfig(seed=4), True))
+    cases.append((_fewer_samples_than_classes(), SolverConfig(seed=0), True))
+    return cases
+
+
+def _assert_maps(state, want):
+    for b, c, w in zip(state.bases, state.centroids, want):
+        assert np.linalg.norm(b @ c - w) <= 1e-12 * np.linalg.norm(w)
+
+
+def test_start_is_the_block_minimum_of_its_assignment():
+    # the start's maps are the class sums over count + RIDGE, which is
+    # where a basis and a centroid update take any basis
+    for ds, cfg, has_empty_row in _start_cases():
+        state = initialize(ds, cfg)
+        xs = [v.data for v in normalize_features(ds, cfg.normalize).views]
+        k = ds.num_classes
+        counts = np.bincount(state.y, minlength=k)
+        assert np.any(counts == 0) == has_empty_row
+        want = [(x @ encode_onehot(state.y, k).T) / (counts + solver.RIDGE)
+                for x in xs]
+        _assert_maps(state, want)
+        update_basis(state, xs)
+        update_centroids(state, xs)
+        _assert_maps(state, want)
+
+
 def _shuffled_blobs(layout, per_class=300, dims=(40, 60), separation=4.0,
                     seed=0):
     """Blob data with the samples in random order, so the unlabeled
@@ -183,23 +223,18 @@ def test_initial_assignment_holds_no_copy_of_the_kmeans_input():
     assert peak < 0.25 * input_bytes
 
 
-def test_leading_basis_spans_top_singular_subspace():
-    rng = np.random.default_rng(10)
-    for trial in range(20):
-        k = int(rng.integers(2, 6))
-        d = k if trial % 4 == 0 else k + int(rng.integers(1, 6))
-        n = int(rng.integers(d, 60))
-        # top-k singular values in [5, 10], the rest in [0, 1]: a clear gap
-        s = np.concatenate([rng.uniform(5.0, 10.0, k),
-                            rng.uniform(0.0, 1.0, d - k)])
-        u, _ = np.linalg.qr(rng.standard_normal((d, d)))
-        w, _ = np.linalg.qr(rng.standard_normal((n, d)))
-        x = (u * s) @ w.T
-        basis = _leading_basis(x, k)
-        assert basis.shape == (d, k)
-        assert np.allclose(basis.T @ basis, np.eye(k), atol=1e-12)
-        ref = np.linalg.svd(x, full_matrices=False)[0][:, :k]
-        assert np.max(np.abs(basis @ basis.T - ref @ ref.T)) < 1e-10
+@pytest.mark.parametrize("mode", ["zscore", "l2"])
+def test_ablated_labels_normalize_the_subset_in_place(mode):
+    # the unlabeled subset is a fresh copy, so normalizing it needs none
+    # more: a second copy would read 2x
+    ds = _shuffled_blobs("F", per_class=1000, dims=(100, 100, 100))
+    subset = unlabeled_subset(ds)
+    subset_bytes = sum(v.data.nbytes for v in subset.views)
+    peak = traced_peak(solver._build_problem, ds, mode, True)
+    assert peak <= 1.3 * subset_bytes
+    prob = solver._build_problem(ds, mode, True)
+    want = normalize_features(subset, mode)
+    assert all(x.tobytes() == v.data.tobytes() for x, v in zip(prob.xs, want.views))
 
 
 # --- basis update ---
@@ -515,11 +550,16 @@ def test_fit_refuses_constant_view():
             fit(ds, SolverConfig(normalize=normalize))
 
 
-def test_fit_with_fewer_samples_than_classes():
-    # rank-deficient views: the leading basis takes null-space directions
+def _fewer_samples_than_classes():
     rng = np.random.default_rng(47)
-    ds = make_dataset([rng.standard_normal((8, 4)), rng.standard_normal((7, 4))],
-                      np.array([0, 1, 3, 4]), 6)
+    return make_dataset([rng.standard_normal((8, 4)), rng.standard_normal((7, 4))],
+                        np.array([0, 1, 3, 4]), 6)
+
+
+def test_fit_with_fewer_samples_than_classes():
+    # 4 samples, 6 classes: the class sums have rank 4 at most, and their
+    # QR still gives every view an orthonormal basis of 6 columns
+    ds = _fewer_samples_than_classes()
     cfg = SolverConfig(seed=0, max_iter=10)
     a = fit(ds, cfg)
     b = fit(ds, cfg)
