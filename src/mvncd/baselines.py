@@ -19,7 +19,7 @@ KMEANS_MAX_ITER = 300
 KMEANS_TOL = 1e-8  # stop once the inertia drops by no more than this
 
 
-@dataclass
+@dataclass(eq=False)
 class KMeansResult:
     centroids: np.ndarray       # k x sum(d_v), one centroid per row
     assignment: np.ndarray      # cluster id per clustered sample

@@ -213,8 +213,15 @@ def _trace_csv(result) -> str:
 def cmd_sweep(args) -> int:
     if args.jobs != 1:
         raise ValueError(f"--jobs accepts only 1, got {args.jobs}")
-    if not args.lambda1_grid or not args.lambda2_grid:
-        raise ValueError("each lambda grid needs at least one value")
+    for flag, grid in (("--lambda1-grid", args.lambda1_grid),
+                       ("--lambda2-grid", args.lambda2_grid)):
+        if not grid:
+            raise ValueError(f"{flag} needs at least one value")
+        # a repeated value would fit twice under one report name
+        names = [_grid_text(value) for value in grid]
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ValueError(f"{flag} repeats the value {name}")
     # every cell shares these settings, so an error in them refuses the sweep
     base = _from_flags(SolverConfig, args)
     ds = _load_for_fit(args, base)
@@ -267,13 +274,13 @@ def cmd_eval(args) -> int:
     # a 64-bit float below 2**63 converts exactly; larger values would cast
     # to a bogus id
     if not np.all((values >= -2.0**63) & (values < 2.0**63)):
-        raise DatasetError("assignment file holds a cluster id that is not "
-                           "finite or does not fit a 64-bit integer")
+        raise DatasetError("assignment: cluster id beyond the 64-bit "
+                           "integer range")
     pred = values.astype(np.int64)
     truth = split["labels"][split["unlabeled_indices"]]
     if pred.size != truth.size:
         raise DatasetError(
-            f"assignment has {pred.size} entries, dataset has "
+            f"assignment: {pred.size} entries, but the dataset has "
             f"{truth.size} unlabeled samples"
         )
     print(json.dumps(_scores(pred, truth)))

@@ -28,7 +28,7 @@ class DatasetError(ValueError):
     """Raised for malformed dataset files or inconsistent dataset contents."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ViewMatrix:
     """One feature view of the sample set, features in rows."""
 
@@ -43,7 +43,7 @@ class ViewMatrix:
         return int(self.data.shape[1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiViewDataset:
     """Feature views over one shared sample axis plus the known/novel split.
 
@@ -52,7 +52,8 @@ class MultiViewDataset:
     reads them. ``labeled_indices`` are exactly the samples whose class is
     in ``known_classes``; the rest form ``unlabeled_indices``.
     ``normalization`` is the mode last applied to the views ("none" when
-    nothing is known about them).
+    nothing is known about them). A dataset compares and hashes by
+    identity, as do the other records that hold arrays.
     """
 
     views: tuple[ViewMatrix, ...]
@@ -524,6 +525,8 @@ def generate_synthetic(spec: SyntheticSpec) -> MultiViewDataset:
         raise DatasetError("synthetic spec needs views >= 1, classes >= 2, per_class >= 1")
     if spec.separation < 0:
         raise DatasetError("separation must be >= 0")
+    if spec.seed < 0:
+        raise DatasetError(f"seed must be >= 0, got {spec.seed}")
     per_view = []
     for name, value, kind in (("dims", spec.dims, int), ("noise", spec.noise, float)):
         arr = np.ravel(np.asarray(value, dtype=kind))

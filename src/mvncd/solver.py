@@ -11,6 +11,7 @@ subproblem given the others, so the objective never increases.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -64,13 +65,15 @@ class SolverConfig:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.init_y_novel not in INIT_MODES:
             raise ValueError(f"unknown init_y_novel: {self.init_y_novel!r}")
         if self.normalize not in NORMALIZATIONS:
             raise ValueError(f"unknown normalize mode: {self.normalize!r}")
 
 
-@dataclass
+@dataclass(eq=False)
 class ModelState:
     """Current iterate: per-view orthonormal bases (d_v x k), per-view
     centroids (k x k), one assignment row per sample, and view weights on
@@ -90,7 +93,7 @@ class ModelState:
         return int(self.bases[0].shape[1])
 
 
-@dataclass
+@dataclass(eq=False)
 class ClassStats:
     """All the basis, centroid and residual updates read of the data under
     one assignment y, so they need not touch the views while y stays put.
@@ -109,7 +112,7 @@ class ClassStats:
     scatter: np.ndarray
 
 
-@dataclass
+@dataclass(eq=False)
 class WorkBuffers:
     """Per-iteration quantities shared by the assignment updates and the
     reconstruction error.
@@ -129,7 +132,7 @@ class WorkBuffers:
     label_counts: np.ndarray
 
 
-@dataclass
+@dataclass(eq=False)
 class FitResult:
     novel_assignment: np.ndarray     # one-hot row id per unlabeled sample
     objective_trace: list[float]     # objective after init, then per iteration
@@ -141,7 +144,7 @@ class FitResult:
     block_objective_trace: list[float] | None = None
 
 
-@dataclass
+@dataclass(eq=False)
 class _Problem:
     """Preprocessed fitting problem in one-hot row coordinates."""
 
@@ -154,8 +157,13 @@ class _Problem:
     num_known: int
 
 
+@functools.lru_cache(maxsize=1)
 def _build_problem(ds: MultiViewDataset, normalize: str,
                    ablate_labeled: bool) -> _Problem:
+    """The normalized problem ``fit`` solves for ``ds``. The last one is
+    cached: a dataset hashes by identity, and the cache holds it, so its
+    identity cannot be recycled while cached. Callers never mutate what
+    this returns."""
     if not ds.num_unlabeled:
         raise DatasetError(
             f"no unlabeled samples: none of the novel classes "
@@ -192,31 +200,6 @@ def _build_problem(ds: MultiViewDataset, normalize: str,
     )
 
 
-_prepared: tuple | None = None   # (dataset, key, problem, initial state, its stats)
-
-
-def _prepare(ds: MultiViewDataset,
-             cfg: SolverConfig) -> tuple[_Problem, ModelState, ClassStats]:
-    """The problem, the initial iterate and its class statistics for ``ds``
-    under ``cfg``.
-
-    The last preparation is kept in a single slot and reused while the
-    dataset object and the config values passed to ``_build_problem`` and
-    ``_initialize`` stay the same, so a sweep over the lambdas prepares
-    once. The slot holds the dataset, so its identity cannot be recycled
-    while cached. Callers never mutate what this returns.
-    """
-    global _prepared
-    key = (cfg.normalize, cfg.ablate_labeled, cfg.seed, cfg.init_y_novel)
-    slot = _prepared
-    if slot is not None and slot[0] is ds and slot[1] == key:
-        return slot[2], slot[3], slot[4]
-    prob = _build_problem(ds, *key[:2])
-    state, stats = _initialize(prob, *key[2:])
-    _prepared = (ds, key, prob, state, stats)
-    return prob, state, stats
-
-
 def _copy_state(state: ModelState) -> ModelState:
     """A state that shares no array with ``state``, so neither the block
     updates nor a caller of :func:`initialize` can change the cached one."""
@@ -228,14 +211,18 @@ def _copy_state(state: ModelState) -> ModelState:
 
 def initialize(ds: MultiViewDataset, cfg: SolverConfig) -> ModelState:
     """Build the starting iterate (the one :func:`fit` starts from)."""
-    return _copy_state(_prepare(ds, cfg)[1])
+    prob = _build_problem(ds, cfg.normalize, cfg.ablate_labeled)
+    return _copy_state(_initialize(prob, cfg.seed, cfg.init_y_novel)[0])
 
 
+@functools.lru_cache(maxsize=1)
 def _initialize(prob: _Problem, seed: int,
                 init_y_novel: str) -> tuple[ModelState, ClassStats]:
     """The initial assignment and, for it, the exact minimizer of the basis
     and centroid blocks: each basis is the Q factor of the view's class
-    sums S_v, so basis @ centroids is S_v / (counts + RIDGE)."""
+    sums S_v, so basis @ centroids is S_v / (counts + RIDGE). None of this
+    depends on the lambdas, so the last start is cached and a sweep
+    prepares once. Callers never mutate what this returns."""
     k = prob.num_classes
     num_views = len(prob.xs)
     y = _initial_assignment(prob, seed, init_y_novel)
@@ -454,14 +441,15 @@ def fit(ds: MultiViewDataset, cfg: SolverConfig) -> FitResult:
     assignment update reads the views; the other blocks and the objective
     work from the class statistics, rebuilt when the assignment moves.
 
-    ``ds`` and its arrays are treated as immutable: the normalized problem,
-    the initial iterate and its statistics of the last call are reused when
-    ``ds`` is the same object and normalize, ablate_labeled, seed and
-    init_y_novel are unchanged. After changing data in place, build a new
-    dataset with ``make_dataset``.
+    ``ds`` and its arrays are treated as immutable: the normalized problem
+    is reused while ``ds`` is the same object and normalize and
+    ablate_labeled are unchanged, the initial iterate and its statistics
+    while the problem, seed and init_y_novel are. After changing data in
+    place, build a new dataset with ``make_dataset``.
     """
     start = time.perf_counter()
-    prob, initial, stats = _prepare(ds, cfg)
+    prob = _build_problem(ds, cfg.normalize, cfg.ablate_labeled)
+    initial, stats = _initialize(prob, cfg.seed, cfg.init_y_novel)
     state = _copy_state(initial)
 
     trace = [_objective(state, prob, cfg, stats)]

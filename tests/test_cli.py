@@ -109,6 +109,23 @@ def test_run_refuses_non_finite_settings(tmp_path):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_negative_seed_refused_before_data_is_read(tmp_path, command):
+    # the data path does not exist, so only a check made before loading
+    # can name the seed
+    out = tmp_path / "out"
+    code, _, stderr = run_cli([command, "--data", str(tmp_path / "missing"),
+                               "--seed", "-1", "--out", str(out)])
+    assert code == 2
+    assert "seed must be >= 0, got -1" in stderr
+    assert not out.exists()
+
+
+def test_run_accepts_huge_seed(tmp_path):
+    code, _, _ = run_fixture(tmp_path, "--seed", "99999999999999999999999")
+    assert code == 0
+
+
 def test_run_refuses_non_monotone_trace(tmp_path, monkeypatch):
     real_fit = mvncd.cli.fit
 
@@ -372,6 +389,17 @@ def test_synth_refuses_list_of_wrong_length(tmp_path, flags, field):
     assert not (tmp_path / "data").exists()
 
 
+def test_synth_refuses_negative_seed(tmp_path):
+    code, _, stderr = run_cli(["synth", "--seed", "-3",
+                               "--out", str(tmp_path / "data")])
+    assert code == 2
+    assert stderr.startswith("error: seed must be >= 0, got -3")
+    assert not (tmp_path / "data").exists()
+    code, _, _ = run_cli(["synth", "--seed", "99999999999999999999999",
+                          "--out", str(tmp_path / "huge")])
+    assert code == 0
+
+
 # --- sweep ---
 
 def test_sweep_default_grid(tmp_path):
@@ -502,11 +530,30 @@ def test_sweep_refuses_empty_grid(tmp_path):
         assert not out.exists()
 
 
+def test_sweep_refuses_repeated_grid_value(tmp_path):
+    # a repeated value would fit one cell twice under one report name (a
+    # repeated nan would write two error rows of one name); the data path
+    # does not exist, so the grid is refused before loading
+    for flag, grid, value in (("--lambda1-grid", "1,1", "1"),
+                              ("--lambda2-grid", "10,1,1e1", "10"),
+                              ("--lambda1-grid", "1,1.0", "1"),
+                              ("--lambda2-grid", "nan,1,nan", "nan")):
+        out = tmp_path / "out"
+        code, stdout, stderr = run_cli(["sweep", "--data", str(tmp_path / "missing"),
+                                        flag, grid, "--out", str(out)])
+        assert code == 2
+        assert f"{flag} repeats the value {value}" in stderr
+        assert "sweep of" not in stdout
+        assert not out.exists()
+
+
 def test_sweep_prepares_once(tmp_path, monkeypatch):
     calls = []
-    real = solver._initialize
-    monkeypatch.setattr(solver, "_initialize",
+    real = solver._initial_assignment
+    monkeypatch.setattr(solver, "_initial_assignment",
                         lambda prob, *args: calls.append(args) or real(prob, *args))
+    solver._build_problem.cache_clear()
+    solver._initialize.cache_clear()
     code, _, _ = run_cli(["sweep", "--data", str(FIXTURE_DIR),
                           "--lambda1-grid", "1,10", "--lambda2-grid", "1,10",
                           "--jobs", "1", "--out", str(tmp_path)])
@@ -550,31 +597,27 @@ def test_eval_shuffled_assignment_near_chance(tmp_path):
 
 
 def test_eval_rejects_bad_assignment(tmp_path):
-    short = tmp_path / "short.csv"
-    short.write_text("0\n1\n")
-    code, _, stderr = run_cli(["eval", "--data", str(FIXTURE_DIR),
-                               "--assignment", str(short)])
-    assert code == 2 and "error" in stderr
-
-    frac = tmp_path / "frac.csv"
-    frac.write_text("".join("0.5\n" for _ in range(60)))
-    code, _, _ = run_cli(["eval", "--data", str(FIXTURE_DIR),
-                          "--assignment", str(frac)])
-    assert code == 2
-
-    code, _, _ = run_cli(["eval", "--data", str(FIXTURE_DIR),
-                          "--assignment", str(tmp_path / "missing.csv")])
-    assert code == 2
-
-    for bad, message in (("inf", "assignment: contains non-finite values"),
-                         ("-inf", "assignment: contains non-finite values"),
-                         ("1e300", "64-bit"), ("9.3e18", "64-bit")):
-        huge = tmp_path / "huge.csv"
-        huge.write_text("".join(f"{bad}\n" if i == 0 else "0\n"
-                                for i in range(60)))
+    # every refusal names the assignment file first
+    def refusal(text, name="bad.csv"):
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text)
         code, _, stderr = run_cli(["eval", "--data", str(FIXTURE_DIR),
-                                   "--assignment", str(huge)])
-        assert code == 2 and message in stderr, bad
+                                   "--assignment", str(path)])
+        assert code == 2
+        assert stderr.startswith("error: assignment: "), stderr
+        return stderr
+
+    assert "2 entries" in refusal("0\n1\n")
+    assert "non-integer" in refusal("".join("0.5\n" for _ in range(60)))
+    assert "file not found" in refusal(None, "missing.csv")
+    for bad, message in (("inf", "contains non-finite values"),
+                         ("-inf", "contains non-finite values"),
+                         ("1e300", "cluster id beyond the 64-bit integer range"),
+                         ("9.3e18", "cluster id beyond the 64-bit integer range")):
+        stderr = refusal("".join(f"{bad}\n" if i == 0 else "0\n"
+                                 for i in range(60)))
+        assert message in stderr, bad
 
 
 def test_eval_reads_no_view_csv(tmp_path):

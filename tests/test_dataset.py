@@ -324,6 +324,8 @@ def test_generator_rejects_bad_spec():
         generate_synthetic(SyntheticSpec(separation=-1.0))
     with pytest.raises(DatasetError):
         generate_synthetic(SyntheticSpec(noise=-0.5))
+    with pytest.raises(DatasetError, match="seed must be >= 0, got -3"):
+        generate_synthetic(SyntheticSpec(seed=-3))
 
 
 # --- file round trip ---

@@ -91,6 +91,8 @@ def test_config_validation():
         SolverConfig(max_iter=0)
     with pytest.raises(ValueError):
         SolverConfig(tol=-1e-9)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        SolverConfig(seed=-1)
     for field in ("lambda1", "lambda2", "tol"):
         for value in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match=f"{field} must be finite"):
@@ -230,6 +232,7 @@ def test_ablated_labels_normalize_the_subset_in_place(mode):
     ds = _shuffled_blobs("F", per_class=1000, dims=(100, 100, 100))
     subset = unlabeled_subset(ds)
     subset_bytes = sum(v.data.nbytes for v in subset.views)
+    solver._build_problem.cache_clear()     # measure a cache miss
     peak = traced_peak(solver._build_problem, ds, mode, True)
     assert peak <= 1.3 * subset_bytes
     prob = solver._build_problem(ds, mode, True)
@@ -572,8 +575,13 @@ def test_fit_with_fewer_samples_than_classes():
 
 # --- preparation reuse ---
 
+def _clear_caches():
+    solver._build_problem.cache_clear()
+    solver._initialize.cache_clear()
+
+
 def _fresh_fit(ds, cfg):
-    solver._prepared = None
+    _clear_caches()
     return fit(ds, cfg)
 
 
@@ -594,6 +602,18 @@ def _overlapping_blobs(seed=5):
                                             noise=1.0, seed=seed))
 
 
+def test_records_compare_by_identity():
+    # records that hold arrays compare and hash by identity: comparing
+    # their arrays would raise, and the solver caches by dataset
+    ds_a, ds_b = _overlapping_blobs(), _overlapping_blobs()
+    cfg = SolverConfig(seed=0, max_iter=5)
+    fit_a, fit_b = fit(ds_a, cfg), fit(ds_b, cfg)
+    for a, b in ((ds_a, ds_b), (ds_a.views[0], ds_b.views[0]),
+                 (fit_a.state, fit_b.state), (fit_a, fit_b)):
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
+
 def test_prepare_reuses_only_on_same_dataset_and_key():
     ds = _overlapping_blobs()
     base = SolverConfig(seed=0, max_iter=20)
@@ -601,7 +621,7 @@ def test_prepare_reuses_only_on_same_dataset_and_key():
     for change in ({"normalize": "l2"}, {"seed": 1},
                    {"init_y_novel": "random"}, {"ablate_labeled": True}):
         cfg = dataclasses.replace(base, **change)
-        fit(ds, base)                       # the slot now holds base's key
+        fit(ds, base)                 # the caches now hold base's preparation
         warm = fit(ds, cfg)
         cold = _fresh_fit(ds, cfg)
         _assert_same_fit(warm, cold)
@@ -609,9 +629,10 @@ def test_prepare_reuses_only_on_same_dataset_and_key():
     # same contents in a new dataset object: prepared anew, same result
     twin = make_dataset([v.data.copy() for v in ds.views], ds.labels.copy(),
                         ds.num_classes, ds.known_classes)
+    _clear_caches()
     fit(ds, base)
     _assert_same_fit(fit(twin, base), reference)
-    assert solver._prepared[0] is twin
+    assert solver._build_problem.cache_info().misses == 2
     # other contents in a new dataset object of the same shape
     other = _overlapping_blobs(seed=6)
     fit(ds, base)
@@ -621,15 +642,25 @@ def test_prepare_reuses_only_on_same_dataset_and_key():
 def test_prepare_reused_across_lambdas(monkeypatch):
     ds = _overlapping_blobs()
     calls = []
-    real = solver._initialize
-    monkeypatch.setattr(solver, "_initialize",
+    real = solver._initial_assignment
+    monkeypatch.setattr(solver, "_initial_assignment",
                         lambda prob, *args: calls.append(args) or real(prob, *args))
-    solver._prepared = None
+    _clear_caches()
     for lambda1 in (1.0, 10.0):
         for lambda2 in (1.0, 100.0):
             fit(ds, SolverConfig(lambda1=lambda1, lambda2=lambda2, tol=0.0,
                                  max_iter=3, ablate_alpha=lambda1 > 1))
     assert len(calls) == 1
+
+
+def test_objective_value_reads_the_cached_problem():
+    ds = _overlapping_blobs()
+    cfg = SolverConfig(seed=0, max_iter=5)
+    _clear_caches()
+    result = fit(ds, cfg)
+    value = objective_value(result.state, ds, cfg)
+    assert value == pytest.approx(result.objective_trace[-1], rel=1e-12)
+    assert solver._build_problem.cache_info().misses == 1
 
 
 def test_fit_leaves_the_prepared_state_untouched():
