@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import warnings
 from dataclasses import dataclass, replace
@@ -523,8 +524,9 @@ def generate_synthetic(spec: SyntheticSpec) -> MultiViewDataset:
     """Sample a dataset from ``spec``; deterministic under spec.seed."""
     if spec.views < 1 or spec.classes < 2 or spec.per_class < 1:
         raise DatasetError("synthetic spec needs views >= 1, classes >= 2, per_class >= 1")
-    if spec.separation < 0:
-        raise DatasetError("separation must be >= 0")
+    if not (math.isfinite(spec.separation) and spec.separation >= 0):
+        raise DatasetError(
+            f"separation must be finite and >= 0, got {spec.separation}")
     if spec.seed < 0:
         raise DatasetError(f"seed must be >= 0, got {spec.seed}")
     per_view = []
@@ -535,8 +537,11 @@ def generate_synthetic(spec: SyntheticSpec) -> MultiViewDataset:
                                f"({spec.views}), got {arr.size}")
         per_view.append(np.broadcast_to(arr, (spec.views,)))
     dims, noise = per_view
-    if np.any(dims < 1) or np.any(noise < 0):
-        raise DatasetError("dims must be >= 1 and noise >= 0")
+    if np.any(dims < 1):
+        raise DatasetError(f"dims must be >= 1, got {dims.min()}")
+    bad = noise[~(np.isfinite(noise) & (noise >= 0))]
+    if bad.size:
+        raise DatasetError(f"noise must be finite and >= 0, got {bad[0]}")
 
     rng = np.random.default_rng(spec.seed)
     labels = np.repeat(np.arange(spec.classes), spec.per_class)

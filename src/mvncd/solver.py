@@ -157,13 +157,9 @@ class _Problem:
     num_known: int
 
 
-@functools.lru_cache(maxsize=1)
 def _build_problem(ds: MultiViewDataset, normalize: str,
                    ablate_labeled: bool) -> _Problem:
-    """The normalized problem ``fit`` solves for ``ds``. The last one is
-    cached: a dataset hashes by identity, and the cache holds it, so its
-    identity cannot be recycled while cached. Callers never mutate what
-    this returns."""
+    """The normalized problem ``fit`` solves for ``ds``."""
     if not ds.num_unlabeled:
         raise DatasetError(
             f"no unlabeled samples: none of the novel classes "
@@ -200,41 +196,37 @@ def _build_problem(ds: MultiViewDataset, normalize: str,
     )
 
 
-def _copy_state(state: ModelState) -> ModelState:
-    """A state that shares no array with ``state``, so neither the block
-    updates nor a caller of :func:`initialize` can change the cached one."""
-    return ModelState(bases=[b.copy() for b in state.bases],
-                      centroids=[c.copy() for c in state.centroids],
-                      y=state.y.copy(),
-                      view_weights=state.view_weights.copy())
+@functools.lru_cache(maxsize=1)
+def _prepare(ds: MultiViewDataset, normalize: str, ablate_labeled: bool,
+             seed: int, init_y_novel: str
+             ) -> tuple[_Problem, np.ndarray, ClassStats]:
+    """The problem, initial assignment and its class statistics. None depends
+    on the lambdas, so the last is cached (it holds ``ds``, which hashes by
+    identity) and a sweep prepares once. Callers never mutate the result."""
+    prob = _build_problem(ds, normalize, ablate_labeled)
+    y = _initial_assignment(prob, seed, init_y_novel)
+    return prob, y, class_stats(prob.xs, y, prob.num_classes)
+
+
+def _start(prob: _Problem, y: np.ndarray, stats: ClassStats) -> ModelState:
+    """A fresh iterate at ``y`` that shares no array with the arguments:
+    each basis is the Q factor of its view's class sums S_v, so basis @
+    centroids = S_v / (counts + RIDGE) minimizes both blocks exactly."""
+    k, num_views = prob.num_classes, len(prob.xs)
+    state = ModelState(
+        bases=[q.copy() for q, _ in stats.frames],
+        centroids=[np.zeros((k, k)) for _ in range(num_views)],
+        y=y.copy(),
+        view_weights=np.full(num_views, 1.0 / num_views),
+    )
+    update_centroids(state, prob.xs, stats)
+    return state
 
 
 def initialize(ds: MultiViewDataset, cfg: SolverConfig) -> ModelState:
     """Build the starting iterate (the one :func:`fit` starts from)."""
-    prob = _build_problem(ds, cfg.normalize, cfg.ablate_labeled)
-    return _copy_state(_initialize(prob, cfg.seed, cfg.init_y_novel)[0])
-
-
-@functools.lru_cache(maxsize=1)
-def _initialize(prob: _Problem, seed: int,
-                init_y_novel: str) -> tuple[ModelState, ClassStats]:
-    """The initial assignment and, for it, the exact minimizer of the basis
-    and centroid blocks: each basis is the Q factor of the view's class
-    sums S_v, so basis @ centroids is S_v / (counts + RIDGE). None of this
-    depends on the lambdas, so the last start is cached and a sweep
-    prepares once. Callers never mutate what this returns."""
-    k = prob.num_classes
-    num_views = len(prob.xs)
-    y = _initial_assignment(prob, seed, init_y_novel)
-    stats = class_stats(prob.xs, y, k)
-    state = ModelState(
-        bases=[q.copy() for q, _ in stats.frames],
-        centroids=[np.zeros((k, k)) for _ in range(num_views)],
-        y=y,
-        view_weights=np.full(num_views, 1.0 / num_views),
-    )
-    update_centroids(state, prob.xs, stats)
-    return state, stats
+    return _start(*_prepare(ds, cfg.normalize, cfg.ablate_labeled,
+                            cfg.seed, cfg.init_y_novel))
 
 
 def _initial_assignment(prob: _Problem, seed: int, init_y_novel: str) -> np.ndarray:
@@ -441,16 +433,14 @@ def fit(ds: MultiViewDataset, cfg: SolverConfig) -> FitResult:
     assignment update reads the views; the other blocks and the objective
     work from the class statistics, rebuilt when the assignment moves.
 
-    ``ds`` and its arrays are treated as immutable: the normalized problem
-    is reused while ``ds`` is the same object and normalize and
-    ablate_labeled are unchanged, the initial iterate and its statistics
-    while the problem, seed and init_y_novel are. After changing data in
+    ``ds`` and its arrays are treated as immutable, since the last
+    preparation is reused for the same ``ds``. After changing data in
     place, build a new dataset with ``make_dataset``.
     """
     start = time.perf_counter()
-    prob = _build_problem(ds, cfg.normalize, cfg.ablate_labeled)
-    initial, stats = _initialize(prob, cfg.seed, cfg.init_y_novel)
-    state = _copy_state(initial)
+    prob, y, stats = _prepare(ds, cfg.normalize, cfg.ablate_labeled,
+                              cfg.seed, cfg.init_y_novel)
+    state = _start(prob, y, stats)
 
     trace = [_objective(state, prob, cfg, stats)]
     alphas = [state.view_weights.copy()]

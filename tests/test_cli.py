@@ -21,7 +21,7 @@ from mvncd.dataset import (
     make_dataset,
     write_dataset,
 )
-from mvncd.solver import FitResult, SolverConfig
+from mvncd.solver import FitResult, SolverConfig, is_monotone
 
 REPORT_KEYS = {
     "schema_version", "tool_version", "seed", "dataset", "config",
@@ -74,6 +74,31 @@ def test_run_deterministic_reports(tmp_path):
     assert a == b
     assert (tmp_path / "a" / "trace.csv").read_bytes() == \
         (tmp_path / "b" / "trace.csv").read_bytes()
+
+
+@pytest.mark.parametrize("flags", [[], ["--init-y", "random"],
+                                   ["--hard-restrict-novel"],
+                                   ["--ablate-labeled"]],
+                         ids=["default", "random", "hard", "ablate"])
+def test_run_with_a_declared_novel_class_that_has_no_sample(tmp_path, flags):
+    # five declared classes, samples of four: novel class 4 is empty. The
+    # fit still spreads the unlabeled samples over all three novel ids
+    base = generate_synthetic(SyntheticSpec(views=2, classes=4, per_class=20,
+                                            dims=6, seed=1))
+    ds = make_dataset([v.data for v in base.views], base.labels, 5)
+    assert ds.novel_classes.tolist() == [2, 3, 4]
+    write_dataset(ds, tmp_path / "data")
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        code, _, _ = run_cli(["run", "--data", str(tmp_path / "data"),
+                              "--out", str(out), *flags])
+        assert code == 0
+    report = json.loads((outs[0] / "report.json").read_text())
+    assert is_monotone(report["objective_trace"])
+    assert strip_wall_time((outs[0] / "report.json").read_text()) == \
+        strip_wall_time((outs[1] / "report.json").read_text())
+    for name in ("trace.csv", "assignment.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_run_lambda1_zero_does_not_beat_default(tmp_path):
@@ -389,6 +414,17 @@ def test_synth_refuses_list_of_wrong_length(tmp_path, flags, field):
     assert not (tmp_path / "data").exists()
 
 
+@pytest.mark.parametrize("flag", ["--separation", "--noise"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_synth_names_a_non_finite_value(tmp_path, flag, value):
+    code, _, stderr = run_cli(["synth", flag, value,
+                               "--out", str(tmp_path / "data")])
+    assert code == 2
+    assert stderr.startswith(
+        f"error: {flag.lstrip('-')} must be finite and >= 0, got {value}")
+    assert not (tmp_path / "data").exists()
+
+
 def test_synth_refuses_negative_seed(tmp_path):
     code, _, stderr = run_cli(["synth", "--seed", "-3",
                                "--out", str(tmp_path / "data")])
@@ -552,8 +588,7 @@ def test_sweep_prepares_once(tmp_path, monkeypatch):
     real = solver._initial_assignment
     monkeypatch.setattr(solver, "_initial_assignment",
                         lambda prob, *args: calls.append(args) or real(prob, *args))
-    solver._build_problem.cache_clear()
-    solver._initialize.cache_clear()
+    solver._prepare.cache_clear()
     code, _, _ = run_cli(["sweep", "--data", str(FIXTURE_DIR),
                           "--lambda1-grid", "1,10", "--lambda2-grid", "1,10",
                           "--jobs", "1", "--out", str(tmp_path)])

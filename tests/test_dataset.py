@@ -324,6 +324,15 @@ def test_generator_rejects_bad_spec():
         generate_synthetic(SyntheticSpec(separation=-1.0))
     with pytest.raises(DatasetError):
         generate_synthetic(SyntheticSpec(noise=-0.5))
+    # a non-finite spec value is named before it makes non-finite data
+    for field, value in (("separation", np.inf), ("separation", np.nan),
+                         ("noise", np.nan), ("noise", np.inf),
+                         ("noise", (1.0, np.inf))):
+        with pytest.raises(DatasetError,
+                           match=f"{field} must be finite and >= 0, got"):
+            generate_synthetic(SyntheticSpec(**{field: value}))
+    with pytest.raises(DatasetError, match="dims must be >= 1, got 0"):
+        generate_synthetic(SyntheticSpec(dims=(8, 0)))
     with pytest.raises(DatasetError, match="seed must be >= 0, got -3"):
         generate_synthetic(SyntheticSpec(seed=-3))
 

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -232,7 +234,6 @@ def test_ablated_labels_normalize_the_subset_in_place(mode):
     ds = _shuffled_blobs("F", per_class=1000, dims=(100, 100, 100))
     subset = unlabeled_subset(ds)
     subset_bytes = sum(v.data.nbytes for v in subset.views)
-    solver._build_problem.cache_clear()     # measure a cache miss
     peak = traced_peak(solver._build_problem, ds, mode, True)
     assert peak <= 1.3 * subset_bytes
     prob = solver._build_problem(ds, mode, True)
@@ -575,13 +576,8 @@ def test_fit_with_fewer_samples_than_classes():
 
 # --- preparation reuse ---
 
-def _clear_caches():
-    solver._build_problem.cache_clear()
-    solver._initialize.cache_clear()
-
-
 def _fresh_fit(ds, cfg):
-    _clear_caches()
+    solver._prepare.cache_clear()
     return fit(ds, cfg)
 
 
@@ -629,10 +625,10 @@ def test_prepare_reuses_only_on_same_dataset_and_key():
     # same contents in a new dataset object: prepared anew, same result
     twin = make_dataset([v.data.copy() for v in ds.views], ds.labels.copy(),
                         ds.num_classes, ds.known_classes)
-    _clear_caches()
+    solver._prepare.cache_clear()
     fit(ds, base)
     _assert_same_fit(fit(twin, base), reference)
-    assert solver._build_problem.cache_info().misses == 2
+    assert solver._prepare.cache_info().misses == 2
     # other contents in a new dataset object of the same shape
     other = _overlapping_blobs(seed=6)
     fit(ds, base)
@@ -645,7 +641,7 @@ def test_prepare_reused_across_lambdas(monkeypatch):
     real = solver._initial_assignment
     monkeypatch.setattr(solver, "_initial_assignment",
                         lambda prob, *args: calls.append(args) or real(prob, *args))
-    _clear_caches()
+    solver._prepare.cache_clear()
     for lambda1 in (1.0, 10.0):
         for lambda2 in (1.0, 100.0):
             fit(ds, SolverConfig(lambda1=lambda1, lambda2=lambda2, tol=0.0,
@@ -653,14 +649,22 @@ def test_prepare_reused_across_lambdas(monkeypatch):
     assert len(calls) == 1
 
 
-def test_objective_value_reads_the_cached_problem():
-    ds = _overlapping_blobs()
+def test_objective_value_keeps_no_dataset_alive():
+    # the solver holds at most the dataset fit last prepared; one passed
+    # only to objective_value is released with the caller's reference
+    ds_a, ds_b = _overlapping_blobs(seed=5), _overlapping_blobs(seed=6)
     cfg = SolverConfig(seed=0, max_iter=5)
-    _clear_caches()
-    result = fit(ds, cfg)
-    value = objective_value(result.state, ds, cfg)
-    assert value == pytest.approx(result.objective_trace[-1], rel=1e-12)
-    assert solver._build_problem.cache_info().misses == 1
+    state = fit(ds_a, cfg).state
+    objective_value(state, ds_b, cfg)
+    refs_a = [weakref.ref(v.data) for v in ds_a.views]
+    refs_b = [weakref.ref(v.data) for v in ds_b.views]
+    del ds_a, ds_b, state
+    gc.collect()
+    assert not any(ref() is not None for ref in refs_b)
+    # what survives is the dataset the preparation cache holds, no more
+    solver._prepare.cache_clear()
+    gc.collect()
+    assert not any(ref() is not None for ref in refs_a)
 
 
 def test_fit_leaves_the_prepared_state_untouched():
