@@ -77,7 +77,9 @@ class SolverConfig:
 class ModelState:
     """Current iterate: per-view orthonormal bases (d_v x k), per-view
     centroids (k x k), one assignment row per sample, and view weights on
-    the simplex."""
+    the simplex. The block updates store the centroids as one V x k x k
+    array, and the bases as one V x d x k array when every view has d
+    features; a list of per-view arrays is read the same way."""
 
     bases: list[np.ndarray]
     centroids: list[np.ndarray]
@@ -98,18 +100,23 @@ class ClassStats:
     """All the basis, centroid and residual updates read of the data under
     one assignment y, so they need not touch the views while y stays put.
 
-    ``counts`` holds the samples per one-hot row. Per view v, ``sums[v]`` is
-    the d_v x k class-sum matrix S_v = X_v @ Y.T, ``frames[v]`` its thin QR
-    factors (Q_v, R_v), ``means[v]`` the class means S_v / counts (zero on
-    empty rows) and ``scatter[v]`` the within-class scatter
-    W_v = sum_i ||x_i - mean_{y_i}||^2.
+    ``counts`` holds the samples per one-hot row. The per-view matrices are
+    stacked over the views, d_v x k ones padded with zero rows to the
+    largest d, so every block update is one batched call: ``sums[v]`` is
+    the class-sum matrix S_v = X_v @ Y.T, ``frames`` its thin QR factors
+    (the Q_v stack, the k x k R_v stack), ``means[v]`` the class means
+    S_v / counts (zero on empty rows) and ``scatter[v]`` the within-class
+    scatter W_v = sum_i ||x_i - mean_{y_i}||^2. ``z`` holds the views in
+    their class frames, rows v*k to (v+1)*k being Z_v = Q_v.T @ X_v, so it
+    is (V*k) x n; a basis in span(Q_v) scores every sample through it.
     """
 
     counts: np.ndarray
-    sums: list[np.ndarray]
-    frames: list[tuple[np.ndarray, np.ndarray]]
-    means: list[np.ndarray]
+    sums: np.ndarray
+    frames: tuple[np.ndarray, np.ndarray]
+    means: np.ndarray
     scatter: np.ndarray
+    z: np.ndarray
 
 
 @dataclass(eq=False)
@@ -120,9 +127,10 @@ class WorkBuffers:
     ``xs`` are the views and ``maps[v]`` is basis @ centroids for view v, so
     view v reconstructs sample i as ``maps[v][:, y[i]]``. ``diag`` holds the
     weight-combined squared norms of the columns of the maps and ``score``
-    the weight-combined inner products with the data; the label updates read
-    both. ``label_counts`` counts ground-truth labeled samples per one-hot
-    row (zero on novel rows).
+    the k x n weight-combined inner products with the data, formed in the
+    class frames when :func:`make_buffers` has the class statistics; the
+    label updates read both. ``label_counts`` counts ground-truth labeled
+    samples per one-hot row (zero on novel rows).
     """
 
     xs: list[np.ndarray]
@@ -212,10 +220,10 @@ def _start(prob: _Problem, y: np.ndarray, stats: ClassStats) -> ModelState:
     """A fresh iterate at ``y`` that shares no array with the arguments:
     each basis is the Q factor of its view's class sums S_v, so basis @
     centroids = S_v / (counts + RIDGE) minimizes both blocks exactly."""
-    k, num_views = prob.num_classes, len(prob.xs)
+    num_views = len(prob.xs)
     state = ModelState(
-        bases=[q.copy() for q, _ in stats.frames],
-        centroids=[np.zeros((k, k)) for _ in range(num_views)],
+        bases=_unpadded(stats.frames[0].copy(), prob.xs),
+        centroids=np.zeros_like(stats.frames[1]),
         y=y.copy(),
         view_weights=np.full(num_views, 1.0 / num_views),
     )
@@ -248,19 +256,46 @@ def _initial_assignment(prob: _Problem, seed: int, init_y_novel: str) -> np.ndar
 
 
 _SCATTER_COLUMNS = 1024   # samples per block of the scatter pass
+_SPAN_TOL = 1e-12         # relative distance of the class sums from span(B_v)
 
 
 def class_stats(xs: list[np.ndarray], y: np.ndarray, k: int) -> ClassStats:
     """Class statistics of assignment ``y`` over the views ``xs``."""
     ymat_t = encode_onehot(y, k).T
     counts = np.bincount(y, minlength=k).astype(float)
-    sums = [x @ ymat_t for x in xs]
-    means = [np.divide(s, counts, out=np.zeros_like(s), where=counts > 0)
-             for s in sums]
-    scatter = np.array([_within_scatter(x, y, mu) for x, mu in zip(xs, means)])
-    return ClassStats(counts=counts, sums=sums,
-                      frames=[np.linalg.qr(s) for s in sums],
-                      means=means, scatter=scatter)
+    shape = (len(xs), max(x.shape[0] for x in xs), k)
+    sums, means, q = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+    r = np.empty((len(xs), k, k))
+    scatter = np.empty(len(xs))
+    z = np.empty((len(xs) * k, y.size))
+    for v, x in enumerate(xs):
+        rows = slice(0, x.shape[0])
+        np.matmul(x, ymat_t, out=sums[v, rows])
+        np.divide(sums[v, rows], counts, out=means[v, rows], where=counts > 0)
+        scatter[v] = _within_scatter(x, y, means[v, rows])
+        q[v, rows], r[v] = np.linalg.qr(sums[v, rows])
+        np.matmul(q[v, rows].T, x, out=z[v * k:(v + 1) * k])
+    return ClassStats(counts=counts, sums=sums, frames=(q, r), means=means,
+                      scatter=scatter, z=z)
+
+
+def _padded(mats, rows: int) -> np.ndarray:
+    """The d_v x k matrices ``mats`` as one V x rows x k array, zero below
+    row d_v; ``mats`` itself when it already is that array."""
+    if isinstance(mats, np.ndarray) or all(m.shape[0] == rows for m in mats):
+        return np.asarray(mats)
+    out = np.zeros((len(mats), rows, mats[0].shape[1]))
+    for o, m in zip(out, mats):
+        o[:m.shape[0]] = m
+    return out
+
+
+def _unpadded(stack: np.ndarray, xs: list[np.ndarray]):
+    """The per-view d_v x k blocks of a padded stack: the stack itself when
+    no view is shorter than it."""
+    if all(x.shape[0] == stack.shape[1] for x in xs):
+        return stack
+    return [m[:x.shape[0]] for m, x in zip(stack, xs)]
 
 
 def _within_scatter(x: np.ndarray, y: np.ndarray, means: np.ndarray) -> float:
@@ -284,13 +319,32 @@ def update_basis(state: ModelState, xs: list[np.ndarray],
     batched SVD of k x k matrices serves every view, whatever its d_v; this
     per-iteration cost does not grow with n. ``stats`` are the class
     statistics of ``state.y``; without them they are computed from
-    ``xs``."""
+    ``xs``.
+
+    The basis is kept, and the SVD skipped, when the centroids are the
+    least-squares centroids of the current basis (C_v = B_v.T S_v D with D
+    the inverse ridged counts, compared exactly) and the basis spans the
+    class sums (B_v B_v.T S_v = S_v to rounding): then
+    S_v @ C_v.T = B_v (B_v.T S_v D S_v.T B_v), the basis times a symmetric
+    positive semidefinite matrix, and the basis is its polar factor. That
+    holds at :func:`fit`'s start and after one basis and one centroid update
+    under an assignment, so repeating the two updates changes no bit, which
+    is why ``fit`` skips them while the assignment stays put and a caller
+    that repeats them gets the same iterate."""
     if stats is None:
         stats = class_stats(xs, state.y, state.num_classes)
-    u, _, vt = np.linalg.svd(np.stack([r @ c.T for (_, r), c
-                                       in zip(stats.frames, state.centroids)]))
-    for v, ((q, _), polar) in enumerate(zip(stats.frames, u @ vt)):
-        state.bases[v] = q @ polar
+    q, r = stats.frames
+    bases = _padded(state.bases, q.shape[1])
+    centroids = np.asarray(state.centroids)
+    fitted = bases.transpose(0, 2, 1) @ stats.sums
+    if (centroids == fitted * (1.0 / (stats.counts + RIDGE))).all():
+        gap = bases @ fitted
+        gap -= stats.sums
+        if (np.einsum("vij,vij->v", gap, gap) <= _SPAN_TOL**2 * np.einsum(
+                "vij,vij->v", stats.sums, stats.sums)).all():
+            return
+    u, _, vt = np.linalg.svd(r @ centroids.transpose(0, 2, 1))
+    state.bases = _unpadded(q @ (u @ vt), xs)
 
 
 def update_centroids(state: ModelState, xs: list[np.ndarray],
@@ -304,22 +358,45 @@ def update_centroids(state: ModelState, xs: list[np.ndarray],
     """
     if stats is None:
         stats = class_stats(xs, state.y, state.num_classes)
-    inv = 1.0 / (stats.counts + RIDGE)
-    for v, s in enumerate(stats.sums):
-        state.centroids[v] = (state.bases[v].T @ s) * inv[None, :]
+    bases = _padded(state.bases, stats.sums.shape[1])
+    state.centroids = (bases.transpose(0, 2, 1) @ stats.sums) * (
+        1.0 / (stats.counts + RIDGE))
 
 
 def make_buffers(state: ModelState, xs: list[np.ndarray],
-                 label_counts: np.ndarray) -> WorkBuffers:
+                 label_counts: np.ndarray,
+                 stats: ClassStats | None = None) -> WorkBuffers:
     """Assemble the shared per-iteration quantities for the current bases
     and centroids; they stay valid while only ``y`` and the view weights
-    change."""
+    change.
+
+    With ``stats``, the class statistics of ``state.y``, the maps are
+    scored in the class frames: when every basis lies in span(Q_v), as
+    :func:`fit` keeps it, (B_v C_v).T @ X_v = (Q_v.T B_v C_v).T @ Z_v and
+    the column norms are those of Q_v.T B_v C_v, so one (k x V*k) @
+    (V*k x n) product replaces a k x d_v by d_v x n product per view.
+    Without ``stats`` the maps are scored against ``xs`` directly, which
+    holds for any basis: that path is the reference the tests hold the
+    frame to, and the one a caller without class statistics takes.
+    """
     w2 = state.view_weights**2
-    maps = [state.bases[v] @ state.centroids[v] for v in range(state.num_views)]
-    diag = sum(w2[v] * np.einsum("ij,ij->j", m, m) for v, m in enumerate(maps))
-    score = sum(w2[v] * (m.T @ xs[v]) for v, m in enumerate(maps))
+    stacked = _stacked_maps(state, max(x.shape[0] for x in xs))
+    maps = _unpadded(stacked, xs)
+    if stats is None:
+        diag = sum(w2[v] * np.einsum("ij,ij->j", m, m) for v, m in enumerate(maps))
+        score = sum(w2[v] * (m.T @ xs[v]) for v, m in enumerate(maps))
+    else:
+        framed = stats.frames[0].transpose(0, 2, 1) @ stacked
+        weighted = (w2[:, None, None] * framed).reshape(-1, framed.shape[2])
+        diag = np.einsum("ij,ij->j", weighted, framed.reshape(weighted.shape))
+        score = weighted.T @ stats.z
     return WorkBuffers(xs=xs, maps=maps, diag=diag, score=score,
                        label_counts=np.asarray(label_counts, dtype=float))
+
+
+def _stacked_maps(state: ModelState, rows: int) -> np.ndarray:
+    """basis @ centroids for every view, as one V x rows x k array."""
+    return _padded(state.bases, rows) @ np.asarray(state.centroids)
 
 
 def compute_residuals(buffers: WorkBuffers, y: np.ndarray,
@@ -329,20 +406,17 @@ def compute_residuals(buffers: WorkBuffers, y: np.ndarray,
     ``buffers.xs`` when not given."""
     if stats is None:
         stats = class_stats(buffers.xs, y, buffers.maps[0].shape[1])
-    return _residuals(stats, buffers.maps)
+    return _residuals(stats, _padded(buffers.maps, stats.means.shape[1]))
 
 
-def _residuals(stats: ClassStats, maps: list[np.ndarray]) -> np.ndarray:
+def _residuals(stats: ClassStats, maps: np.ndarray) -> np.ndarray:
     """``||X_v - maps[v][:, y]||^2`` per view, split at the class means
     (Koenig-Huygens): W_v + sum_c n_c ||mean_c - maps[v][:, c]||^2. Both
     terms are sums of squares, so nothing cancels, and an empty row adds
-    exactly 0. The one formula behind the view-weight update and every
-    objective value."""
-    out = np.empty(len(maps))
-    for v, m in enumerate(maps):
-        gap = stats.means[v] - m
-        out[v] = stats.scatter[v] + np.einsum("ij,ij,j->", gap, gap, stats.counts)
-    return out
+    exactly 0. ``maps`` is padded like ``stats.means``. The one formula
+    behind the view-weight update and every objective value."""
+    gap = stats.means - maps
+    return stats.scatter + np.einsum("vij,vij,j->v", gap, gap, stats.counts)
 
 
 def update_labels_known(state: ModelState, buffers: WorkBuffers,
@@ -353,7 +427,9 @@ def update_labels_known(state: ModelState, buffers: WorkBuffers,
     lowest row index (argmin semantics)."""
     if labeled.size == 0:
         return
-    scores = buffers.diag[:, None] - 2.0 * buffers.score[:, labeled]
+    scores = buffers.score[:, labeled]
+    scores *= -2.0
+    scores += buffers.diag[:, None]
     scores[truth_rows, np.arange(labeled.size)] -= 2.0 * lambda1
     state.y[labeled] = np.argmin(scores, axis=0)
 
@@ -367,7 +443,9 @@ def update_labels_novel(state: ModelState, buffers: WorkBuffers,
     separation reward. ``hard_restrict`` masks known rows entirely."""
     if unlabeled.size == 0:
         return
-    scores = buffers.diag[:, None] - 2.0 * buffers.score[:, unlabeled]
+    scores = buffers.score[:, unlabeled]
+    scores *= -2.0
+    scores += buffers.diag[:, None]
     scores += 2.0 * lambda2 * buffers.label_counts[:, None]
     if hard_restrict:
         scores[:num_known, :] = np.inf
@@ -407,12 +485,10 @@ def _objective(state: ModelState, prob: _Problem, cfg: SolverConfig,
     ``stats``; ``residuals`` are its per-view reconstruction errors when the
     caller already has them."""
     if residuals is None:
-        residuals = _residuals(stats, [b @ c for b, c in zip(state.bases,
-                                                             state.centroids)])
-    w2 = state.view_weights**2
+        residuals = _residuals(stats, _stacked_maps(state, stats.means.shape[1]))
     total = 0.0
-    for v in range(len(prob.xs)):
-        total += w2[v] * float(residuals[v])
+    for w, r in zip(state.view_weights.tolist(), residuals.tolist()):
+        total += w * w * r
     mismatches = int(np.count_nonzero(state.y[prob.labeled] != prob.truth_rows))
     total += cfg.lambda1 * 2.0 * mismatches
     n_l = prob.labeled.size
@@ -429,9 +505,14 @@ def fit(ds: MultiViewDataset, cfg: SolverConfig) -> FitResult:
 
     Block order per iteration: bases, centroids, assignments (labeled then
     unlabeled columns), view weights. Stops when the relative objective
-    change |J_prev - J| / (|J_prev| + 1) drops below cfg.tol. Only the
-    assignment update reads the views; the other blocks and the objective
-    work from the class statistics, rebuilt when the assignment moves.
+    change |J_prev - J| / (|J_prev| + 1) drops below cfg.tol. The views are
+    read only when the assignment moves, to rebuild its class statistics
+    and the views' projection onto the class frames; every block and the
+    objective work from those, so an iteration that keeps the assignment
+    costs k x V*k multiply-adds per sample. Nor does such an iteration run
+    the basis and centroid updates: the start, and one update of each after
+    a move, are the exact minimum of both blocks for the assignment, which
+    further updates would keep bit for bit (see :func:`update_basis`).
 
     ``ds`` and its arrays are treated as immutable, since the last
     preparation is reused for the same ``ds``. After changing data in
@@ -446,22 +527,26 @@ def fit(ds: MultiViewDataset, cfg: SolverConfig) -> FitResult:
     alphas = [state.view_weights.copy()]
     block_trace: list[float] | None = [] if cfg.track_block_objective else None
     converged = False
+    moved = False
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
-        update_basis(state, prob.xs, stats)
+        if moved:
+            update_basis(state, prob.xs, stats)
         if block_trace is not None:
             block_trace.append(_objective(state, prob, cfg, stats))
-        update_centroids(state, prob.xs, stats)
+        if moved:
+            update_centroids(state, prob.xs, stats)
         if block_trace is not None:
             block_trace.append(_objective(state, prob, cfg, stats))
-        buffers = make_buffers(state, prob.xs, prob.label_counts)
+        buffers = make_buffers(state, prob.xs, prob.label_counts, stats)
         previous_y = state.y.copy()
         update_labels_known(state, buffers, prob.labeled, prob.truth_rows,
                             cfg.lambda1)
         update_labels_novel(state, buffers, prob.unlabeled, cfg.lambda2,
                             num_known=prob.num_known,
                             hard_restrict=cfg.hard_restrict_novel)
-        if not np.array_equal(previous_y, state.y):
+        moved = not np.array_equal(previous_y, state.y)
+        if moved:
             stats = class_stats(prob.xs, state.y, prob.num_classes)
         if block_trace is not None:
             block_trace.append(_objective(state, prob, cfg, stats))

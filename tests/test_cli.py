@@ -584,16 +584,22 @@ def test_sweep_refuses_repeated_grid_value(tmp_path):
 
 
 def test_sweep_prepares_once(tmp_path, monkeypatch):
-    calls = []
+    # the fixture's labels do not move from the start, so the one class
+    # statistics pass, with its frame product, is the preparation's
+    calls, stats_calls = [], []
     real = solver._initial_assignment
     monkeypatch.setattr(solver, "_initial_assignment",
                         lambda prob, *args: calls.append(args) or real(prob, *args))
+    real_stats = solver.class_stats
+    monkeypatch.setattr(solver, "class_stats",
+                        lambda *args: stats_calls.append(1) or real_stats(*args))
     solver._prepare.cache_clear()
     code, _, _ = run_cli(["sweep", "--data", str(FIXTURE_DIR),
                           "--lambda1-grid", "1,10", "--lambda2-grid", "1,10",
                           "--jobs", "1", "--out", str(tmp_path)])
     assert code == 0
     assert len(calls) == 1
+    assert len(stats_calls) == 1
 
 
 # --- eval ---

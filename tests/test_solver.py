@@ -5,6 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     naive_objective,
@@ -271,6 +272,47 @@ def test_basis_attains_singular_value_sum():
         sigma = np.linalg.svd(target, compute_uv=False).sum()
         assert attained == pytest.approx(sigma, abs=1e-8)
         validate_state(state)
+
+
+# --- the class frame ---
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(k=st.integers(2, 6), extra_dims=st.lists(st.integers(0, 7), min_size=1,
+                                                 max_size=3),
+       n=st.integers(8, 60), data_seed=st.integers(0, 2**32 - 1))
+def test_frame_scores_and_norms_match_the_views(k, extra_dims, n, data_seed):
+    # uneven dims with d_v = k among them, a class with no sample, view
+    # weights far from uniform, and a start basis off span(Q_v)
+    rng = np.random.default_rng(data_seed)
+    dims = [k, *(k + e for e in extra_dims)]
+    xs = [rng.standard_normal((d, n)) for d in dims]
+    y = rng.integers(0, k - 1, size=n)  # row k - 1 stays empty
+    weights = 0.1 ** np.arange(len(dims))
+    state = manual_state([np.linalg.qr(rng.standard_normal((d, k)))[0]
+                          for d in dims],
+                         [rng.standard_normal((k, k)) for _ in dims], y,
+                         weights / weights.sum())
+    stats = solver.class_stats(xs, y, k)
+    update_centroids(state, xs, stats)
+    update_basis(state, xs, stats)
+    update_centroids(state, xs, stats)
+    q = stats.frames[0]
+    for v, (basis, d) in enumerate(zip(state.bases, dims)):
+        frame = q[v, :d]
+        assert np.linalg.norm(basis - frame @ (frame.T @ basis)) <= 1e-12
+    framed = make_buffers(state, xs, np.zeros(k), stats)
+    direct = make_buffers(state, xs, np.zeros(k))
+    for got, want in ((framed.score, direct.score), (framed.diag, direct.diag)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    # the basis now is the block minimum of its own centroids: the next
+    # update keeps it, and it attains the Procrustes bound
+    kept = [basis.copy() for basis in state.bases]
+    update_basis(state, xs, stats)
+    for v, (basis, x) in enumerate(zip(state.bases, xs)):
+        assert np.array_equal(basis, kept[v])
+        target = x @ encode_onehot(y, k).T @ state.centroids[v].T
+        bound = np.linalg.svd(target, compute_uv=False).sum()
+        assert np.trace(basis.T @ target) == pytest.approx(bound, rel=1e-12)
 
 
 # --- centroid update ---
@@ -735,6 +777,25 @@ def test_public_blocks_replay_fit_bit_for_bit_while_labels_move():
         replayed, moved = _replay_fit(ds, cfg)
         assert moved >= 2
         _assert_same_fit(replayed, fit(ds, cfg))
+
+
+def test_fit_moves_labels_in_the_frame_as_in_the_views(monkeypatch):
+    # a random start, so labels move and the frame is rebuilt mid-fit; the
+    # reference fit scores every sample against the views themselves
+    for seed in (0, 1):
+        ds = _overlapping_blobs(seed=5 + seed)
+        cfg = SolverConfig(init_y_novel="random", seed=seed, max_iter=40)
+        framed = _fresh_fit(ds, cfg)
+        start = initialize(ds, cfg).y[ds.unlabeled_indices]
+        assert not np.array_equal(start, framed.novel_assignment)
+        real = solver.make_buffers
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "make_buffers",
+                          lambda state, xs, counts, stats=None:
+                          real(state, xs, counts))
+            direct = _fresh_fit(ds, cfg)
+        assert framed.iterations == direct.iterations
+        assert np.array_equal(framed.novel_assignment, direct.novel_assignment)
 
 
 def test_fit_ablate_alpha_keeps_uniform_weights():
