@@ -87,10 +87,6 @@ class ModelState:
     view_weights: np.ndarray
 
     @property
-    def num_views(self) -> int:
-        return len(self.bases)
-
-    @property
     def num_classes(self) -> int:
         return int(self.bases[0].shape[1])
 
@@ -125,18 +121,17 @@ class WorkBuffers:
     reconstruction error.
 
     ``xs`` are the views and ``maps[v]`` is basis @ centroids for view v, so
-    view v reconstructs sample i as ``maps[v][:, y[i]]``. ``diag`` holds the
-    weight-combined squared norms of the columns of the maps and ``score``
-    the k x n weight-combined inner products with the data, formed in the
-    class frames when :func:`make_buffers` has the class statistics; the
-    label updates read both. ``label_counts`` counts ground-truth labeled
-    samples per one-hot row (zero on novel rows).
+    view v reconstructs sample i as ``maps[v][:, y[i]]``. ``cost`` is the
+    k x n assignment cost, sum_v w_v^2 (||x_{v,i} - maps[v][:, c]||^2 -
+    ||x_{v,i}||^2) at row c and column i: what putting sample i on row c
+    adds to the weighted reconstruction error, up to a per-sample constant.
+    Both label updates gather their columns of it. ``label_counts`` counts
+    ground-truth labeled samples per one-hot row (zero on novel rows).
     """
 
     xs: list[np.ndarray]
     maps: list[np.ndarray]
-    diag: np.ndarray
-    score: np.ndarray
+    cost: np.ndarray
     label_counts: np.ndarray
 
 
@@ -366,9 +361,11 @@ def update_centroids(state: ModelState, xs: list[np.ndarray],
 def make_buffers(state: ModelState, xs: list[np.ndarray],
                  label_counts: np.ndarray,
                  stats: ClassStats | None = None) -> WorkBuffers:
-    """Assemble the shared per-iteration quantities for the current bases
-    and centroids; they stay valid while only ``y`` and the view weights
-    change.
+    """Assemble the shared per-iteration quantities for the current bases,
+    centroids and view weights; they stay valid while only ``y`` changes.
+    The cost is formed once, in place, as diag - 2 * score: the weighted
+    squared column norms of the maps less twice their inner products with
+    the data.
 
     With ``stats``, the class statistics of ``state.y``, the maps are
     scored in the class frames: when every basis lies in span(Q_v), as
@@ -390,7 +387,9 @@ def make_buffers(state: ModelState, xs: list[np.ndarray],
         weighted = (w2[:, None, None] * framed).reshape(-1, framed.shape[2])
         diag = np.einsum("ij,ij->j", weighted, framed.reshape(weighted.shape))
         score = weighted.T @ stats.z
-    return WorkBuffers(xs=xs, maps=maps, diag=diag, score=score,
+    score *= -2.0
+    score += diag[:, None]
+    return WorkBuffers(xs=xs, maps=maps, cost=score,
                        label_counts=np.asarray(label_counts, dtype=float))
 
 
@@ -422,14 +421,10 @@ def _residuals(stats: ClassStats, maps: np.ndarray) -> np.ndarray:
 def update_labels_known(state: ModelState, buffers: WorkBuffers,
                         labeled: np.ndarray, truth_rows: np.ndarray,
                         lambda1: float) -> None:
-    """Exact per-column minimizer for labeled samples: reconstruction score
-    plus the supervision pull toward the ground-truth row. Ties go to the
-    lowest row index (argmin semantics)."""
-    if labeled.size == 0:
-        return
-    scores = buffers.score[:, labeled]
-    scores *= -2.0
-    scores += buffers.diag[:, None]
+    """Exact per-column minimizer for labeled samples: their assignment
+    cost plus the supervision pull toward the ground-truth row. Ties go to
+    the lowest row index (argmin semantics)."""
+    scores = buffers.cost[:, labeled]
     scores[truth_rows, np.arange(labeled.size)] -= 2.0 * lambda1
     state.y[labeled] = np.argmin(scores, axis=0)
 
@@ -438,14 +433,10 @@ def update_labels_novel(state: ModelState, buffers: WorkBuffers,
                         unlabeled: np.ndarray, lambda2: float,
                         num_known: int = 0,
                         hard_restrict: bool = False) -> None:
-    """Exact per-column minimizer for unlabeled samples: reconstruction
-    score plus 2*lambda2*(labeled count of the row), the one-hot form of the
+    """Exact per-column minimizer for unlabeled samples: their assignment
+    cost plus 2*lambda2*(labeled count of the row), the one-hot form of the
     separation reward. ``hard_restrict`` masks known rows entirely."""
-    if unlabeled.size == 0:
-        return
-    scores = buffers.score[:, unlabeled]
-    scores *= -2.0
-    scores += buffers.diag[:, None]
+    scores = buffers.cost[:, unlabeled]
     scores += 2.0 * lambda2 * buffers.label_counts[:, None]
     if hard_restrict:
         scores[:num_known, :] = np.inf
@@ -455,18 +446,14 @@ def update_labels_novel(state: ModelState, buffers: WorkBuffers,
 def update_view_weights(state: ModelState, residuals: np.ndarray,
                         ablate_alpha: bool = False) -> None:
     """Closed-form simplex minimizer of sum_v weight_v^2 * residual_v:
-    weights proportional to inverse residuals. Views with (numerically)
-    zero residual share all the weight uniformly. No-op when ablated."""
+    weights proportional to inverse residuals or, when some views have
+    (numerically) zero residual, uniform over those. No-op when ablated."""
     if ablate_alpha:
         return
     r = np.maximum(np.asarray(residuals, dtype=float), 0.0)
     zero = r <= 1e-12 * (1.0 + r.max())
-    if np.any(zero):
-        weights = zero / zero.sum()
-    else:
-        inv = 1.0 / r
-        weights = inv / inv.sum()
-    state.view_weights = weights
+    inv = zero if zero.any() else 1.0 / r
+    state.view_weights = inv / inv.sum()
 
 
 def objective_value(state: ModelState, ds: MultiViewDataset,
@@ -491,12 +478,9 @@ def _objective(state: ModelState, prob: _Problem, cfg: SolverConfig,
         total += w * w * r
     mismatches = int(np.count_nonzero(state.y[prob.labeled] != prob.truth_rows))
     total += cfg.lambda1 * 2.0 * mismatches
-    n_l = prob.labeled.size
-    n_u = prob.unlabeled.size
-    if n_l and n_u:
-        u_counts = np.bincount(state.y[prob.unlabeled], minlength=prob.num_classes)
-        overlap = float(prob.label_counts @ u_counts)
-        total -= cfg.lambda2 * 2.0 * (n_l * n_u - overlap)
+    u_counts = np.bincount(state.y[prob.unlabeled], minlength=prob.num_classes)
+    overlap = float(prob.label_counts @ u_counts)
+    total -= cfg.lambda2 * 2.0 * (prob.labeled.size * prob.unlabeled.size - overlap)
     return total
 
 

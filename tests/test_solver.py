@@ -300,10 +300,9 @@ def test_frame_scores_and_norms_match_the_views(k, extra_dims, n, data_seed):
     for v, (basis, d) in enumerate(zip(state.bases, dims)):
         frame = q[v, :d]
         assert np.linalg.norm(basis - frame @ (frame.T @ basis)) <= 1e-12
-    framed = make_buffers(state, xs, np.zeros(k), stats)
-    direct = make_buffers(state, xs, np.zeros(k))
-    for got, want in ((framed.score, direct.score), (framed.diag, direct.diag)):
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    framed = make_buffers(state, xs, np.zeros(k), stats).cost
+    direct = make_buffers(state, xs, np.zeros(k)).cost
+    assert np.max(np.abs(framed - direct)) <= 1e-12 * np.max(np.abs(direct))
     # the basis now is the block minimum of its own centroids: the next
     # update keeps it, and it attains the Procrustes bound
     kept = [basis.copy() for basis in state.bases]
@@ -313,6 +312,30 @@ def test_frame_scores_and_norms_match_the_views(k, extra_dims, n, data_seed):
         target = x @ encode_onehot(y, k).T @ state.centroids[v].T
         bound = np.linalg.svd(target, compute_uv=False).sum()
         assert np.trace(basis.T @ target) == pytest.approx(bound, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cost_is_the_weighted_distance_less_the_sample_norm(seed):
+    # d-space path, uneven dims, an empty class and skewed weights:
+    # cost[c, i] = sum_v w_v^2 (||x_{v,i} - m_{v,c}||^2 - ||x_{v,i}||^2)
+    rng = np.random.default_rng(seed)
+    k, n, dims = 4, 30, (4, 7, 11)
+    xs = [rng.standard_normal((d, n)) for d in dims]
+    weights = 0.1 ** np.arange(len(dims))
+    state = manual_state([np.linalg.qr(rng.standard_normal((d, k)))[0]
+                          for d in dims],
+                         [np.zeros((k, k)) for _ in dims],
+                         rng.integers(0, k - 1, size=n),  # row k - 1 stays empty
+                         weights / weights.sum())
+    update_centroids(state, xs)
+    want = np.zeros((k, n))
+    for v, x in enumerate(xs):
+        maps = state.bases[v] @ state.centroids[v]
+        dist = ((x[:, None, :] - maps[:, :, None]) ** 2).sum(axis=0)
+        want += state.view_weights[v] ** 2 * (dist - (x**2).sum(axis=0))
+    got = make_buffers(state, xs, np.zeros(k)).cost
+    assert got.shape == (k, n)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 # --- centroid update ---
@@ -408,6 +431,16 @@ def test_labels_novel_hard_restriction():
     update_labels_novel(state, buffers, np.array([0]), 0.0,
                         num_known=1, hard_restrict=True)
     assert state.y[0] == 1  # row 0 masked even though it is closer
+
+
+def test_label_updates_on_no_columns_leave_y_unchanged():
+    state, xs = _one_column_state([0.9, 0.1])
+    buffers = make_buffers(state, xs, label_counts=np.array([1.0, 0.0]))
+    none = np.array([], dtype=int)
+    update_labels_known(state, buffers, none, none, 1.0)
+    update_labels_novel(state, buffers, none, 1.0, num_known=1,
+                        hard_restrict=True)
+    assert state.y.tolist() == [0]
 
 
 def test_labels_novel_penalty_dominance():
