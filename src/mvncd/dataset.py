@@ -11,10 +11,11 @@ import io
 import json
 import math
 import os
+import re
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -23,6 +24,9 @@ MANIFEST_NAME = "manifest.json"
 # this long: forking a parser and reading its rows back costs as much as
 # parsing 0.5-1 MB in-process (5-10 ms on a 2-vCPU host).
 _MIN_RANGE_BYTES = 1 << 21
+# The parse of a CSV large enough to be split is kept beside it in this
+# directory, so that later loads of the same bytes read no text.
+_CACHE_DIR = ".mvncd_cache"
 
 
 class DatasetError(ValueError):
@@ -373,11 +377,17 @@ def _read_csv_matrix(path: Path, what: str) -> np.ndarray:
     A large file is parsed by forked children, one line-aligned byte range
     each; if that path does not apply or fails anywhere, the whole file is
     parsed in-process, so results and error messages are those of the
-    serial parse either way.
+    serial parse either way. A large file's parse is read from, or saved
+    to, its :class:`_ParseCache` entry.
     """
     if not path.is_file():
         raise DatasetError(f"{what}: file not found: {path}")
-    arr = _parse_in_ranges(path)
+    stat = path.stat()
+    cache = _ParseCache(path, stat) if stat.st_size >= 2 * _MIN_RANGE_BYTES else None
+    arr = cache.lookup() if cache else None
+    hit = arr is not None
+    if not hit:
+        arr = _parse_in_ranges(path, meanwhile=cache.hash if cache else None)
     if arr is None:
         try:
             with warnings.catch_warnings():
@@ -387,7 +397,95 @@ def _read_csv_matrix(path: Path, what: str) -> np.ndarray:
             raise DatasetError(f"{what}: could not parse {path}: {exc}") from exc
     if arr.shape[0] == 0:
         raise DatasetError(f"{what}: no data rows in {path}")
+    if cache and not hit:
+        cache.store(arr)
     return arr
+
+
+class _ParseCache:
+    """The cached parse of one CSV: ``<csv dir>/.mvncd_cache/<csv name>.<key>.npy``,
+    where the key is the SHA-256 of numpy's version and the file's bytes, so
+    an entry cannot go stale. The file keeps at most one entry. Any OSError
+    on the cache's side leaves the caller with its own parse."""
+
+    def __init__(self, path: Path, stat: os.stat_result):
+        self.path = path
+        self.dir = path.parent / _CACHE_DIR
+        self.stat = stat
+        self.digest: str | None = None
+        self._is_entry = re.compile(re.escape(path.name) + r"\.[0-9a-f]{64}\.npy").fullmatch
+
+    def _entries(self) -> list[str]:
+        try:
+            return [name for name in os.listdir(self.dir) if self._is_entry(name)]
+        except OSError:
+            return []
+
+    def _entry(self) -> str:
+        return f"{self.path.name}.{self.digest}.npy"
+
+    def hash(self) -> None:
+        """Set ``digest``, once, from the file read 1 MiB at a time: a whole
+        read or an mmap would count toward the peak RSS. It stays None if
+        the file cannot be read."""
+        if self.digest is not None:
+            return
+        import hashlib  # 5.8 ms to import, which `import mvncd.cli` does not pay
+        h = hashlib.sha256(np.__version__.encode())
+        block = bytearray(1 << 20)
+        view = memoryview(block)
+        try:
+            with open(self.path, "rb", buffering=0) as f:
+                while n := f.readinto(block):
+                    h.update(view[:n])
+        except OSError:
+            return
+        self.digest = h.hexdigest()
+
+    def lookup(self) -> np.ndarray | None:
+        """The cached parse, or None. The file is hashed only when it has an
+        entry; an entry that cannot be read or is not a 2-d C-order float64
+        array is a miss."""
+        entries = self._entries()
+        if not entries:
+            return None
+        self.hash()
+        if self.digest is None or self._entry() not in entries:
+            return None
+        try:
+            with open(self.dir / self._entry(), "rb") as f:
+                arr = np.load(f, allow_pickle=False)
+        except (OSError, ValueError, EOFError):
+            return None
+        if (isinstance(arr, np.ndarray) and arr.ndim == 2 and arr.dtype == np.float64
+                and arr.flags.c_contiguous):
+            return arr
+        return None
+
+    def store(self, arr: np.ndarray) -> None:
+        """Save ``arr``, the file's parse, as its entry and delete its other
+        entries; nothing is saved when the file's size or mtime is no longer
+        that of ``stat``, taken before the file was hashed and parsed."""
+        self.hash()
+        try:
+            now = self.path.stat()
+            if self.digest is None or ((now.st_size, now.st_mtime_ns)
+                                       != (self.stat.st_size, self.stat.st_mtime_ns)):
+                return
+            self.dir.mkdir(exist_ok=True)
+            entry = self._entry()
+            tmp = self.dir / f".{entry}.{os.getpid()}.tmp"
+            try:
+                with open(tmp, "wb") as f:
+                    np.save(f, arr)
+                os.replace(tmp, self.dir / entry)
+            finally:
+                tmp.unlink(missing_ok=True)
+            for name in self._entries():
+                if name != entry:
+                    (self.dir / name).unlink(missing_ok=True)
+        except OSError:
+            pass
 
 
 def _usable_cpus() -> int:
@@ -396,10 +494,12 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _parse_in_ranges(path: Path) -> np.ndarray | None:
+def _parse_in_ranges(path: Path, meanwhile: Callable[[], None] | None = None
+                     ) -> np.ndarray | None:
     """Parse ``path`` in one forked child per line-aligned byte range and
     assemble the rows in one array; None when the file is not split, or a
-    child fails, yields no rows or disagrees on the column count."""
+    child fails, yields no rows or disagrees on the column count. Once the
+    children run, the parent calls ``meanwhile`` before it reads them."""
     size = path.stat().st_size
     parts = min(_usable_cpus(), size // _MIN_RANGE_BYTES)
     if parts < 2 or not hasattr(os, "fork"):
@@ -430,6 +530,8 @@ def _parse_in_ranges(path: Path) -> np.ndarray | None:
                                    [r, *(pipe.fileno() for _, pipe in children)])
             os.close(w)
             children.append((pid, open(r, "rb")))
+        if meanwhile is not None:
+            meanwhile()
         # readinto stops short of a full buffer only at EOF: the child failed
         shapes = np.empty((len(children), 2), dtype=np.int64)
         for (_, pipe), shape in zip(children, shapes):

@@ -244,7 +244,8 @@ def test_run_peak_memory_stays_near_one_copy_of_the_views(tmp_path):
     # with OpenBLAS, 3 runs each: 2.55-2.57x the views' bytes while k-means
     # clustered a stacked copy of the unlabeled samples (half of them here,
     # so 0.5x), 2.11x with k-means on the views in place. The bound keeps
-    # that copy from coming back.
+    # that copy from coming back, also for a second run that reads the
+    # views from the parse cache the first one wrote.
     pytest.importorskip("resource")
     spec = SyntheticSpec(views=3, classes=10, per_class=600, dims=100,
                          separation=4.0, noise=1.0, seed=0)
@@ -266,15 +267,25 @@ def test_run_peak_memory_stays_near_one_copy_of_the_views(tmp_path):
         "os._exit(0)\n"
     )
     src_dir = os.path.dirname(os.path.dirname(mvncd.cli.__file__))
-    out = subprocess.run(
-        [sys.executable, "-c", probe, str(tmp_path / "data"), str(tmp_path / "out")],
-        env=dict(os.environ, PYTHONPATH=src_dir), check=True, timeout=300,
-        capture_output=True, text=True).stdout
-    code, before, after = map(int, out.split()[-3:])
-    assert code == 0
     unit = 1 if sys.platform == "darwin" else 1024   # ru_maxrss: bytes or KiB
-    ratio = (after - before) * unit / view_bytes
-    assert ratio <= 2.4, f"peak RSS grew by {ratio:.2f}x the views' bytes"
+    cache = tmp_path / "data" / ".mvncd_cache"
+    entries = {}
+    # cold: the views are parsed and cached; warm: read from their entries
+    for run in ("cold", "warm"):
+        out = subprocess.run(
+            [sys.executable, "-c", probe, str(tmp_path / "data"), str(tmp_path / run)],
+            env=dict(os.environ, PYTHONPATH=src_dir), check=True, timeout=300,
+            capture_output=True, text=True).stdout
+        code, before, after = map(int, out.split()[-3:])
+        assert code == 0
+        ratio = (after - before) * unit / view_bytes
+        assert ratio <= 2.4, f"{run} run: peak RSS grew by {ratio:.2f}x the views' bytes"
+        # a hit leaves its entry as it was; a miss would replace it
+        entries[run] = {p.name: (p.stat().st_ino, p.stat().st_mtime_ns)
+                        for p in cache.iterdir()}
+    assert sorted(name.split(".")[0] for name in entries["cold"]) == [
+        "view_0", "view_1", "view_2"]
+    assert entries["warm"] == entries["cold"]
 
 
 def test_run_refuses_label_beyond_integer_range(tmp_path):
@@ -694,11 +705,12 @@ def test_eval_refuses_assignment_without_data_rows(tmp_path, content):
 
 
 def test_cli_import_loads_neither_scipy_nor_executor():
-    # every CLI call pays this import; scipy.optimize alone took ~0.5 s, and
-    # the parallel CSV parse needs nothing beyond os and io
+    # every CLI call pays this import; scipy.optimize alone took ~0.5 s, the
+    # parallel CSV parse needs nothing beyond os and io, and the parse cache
+    # imports hashlib (5.8 ms) only when it hashes a file
     probe = ("import mvncd.cli, sys; print(sorted(m for m in sys.modules "
              "if m.split('.')[0] in ('scipy', 'multiprocessing') "
-             "or m == 'concurrent.futures'))")
+             "or m in ('concurrent.futures', 'hashlib')))")
     src_dir = os.path.dirname(os.path.dirname(mvncd.cli.__file__))
     env = dict(os.environ, PYTHONPATH=src_dir)
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,

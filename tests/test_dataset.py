@@ -1,6 +1,8 @@
+import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -441,12 +443,14 @@ def test_load_normalized_equals_normalize_after_load(
     forked = []
     real = dataset._parse_in_ranges
 
-    def spy(path):
-        arr = real(path)
+    def spy(path, meanwhile=None):
+        arr = real(path, meanwhile)
         forked.append(arr is not None)
         return arr
     monkeypatch.setattr(dataset, "_parse_in_ranges", spy)
     path = parse_paths / parse
+    # an earlier case cached the forked view; without its entry it is parsed
+    shutil.rmtree(path / dataset._CACHE_DIR, ignore_errors=True)
     loaded = load_dataset(path, normalize=mode)
     assert any(forked) == (parse == "forked")
     expected = normalize_features(load_dataset(path), mode)
@@ -454,6 +458,27 @@ def test_load_normalized_equals_normalize_after_load(
     assert normalize_features(loaded, mode) is loaded
     assert np.array_equal(loaded.labels, expected.labels)
     for got, want in zip(loaded.views, expected.views):
+        assert got.data.flags.f_contiguous and want.data.flags.f_contiguous
+        assert got.data.tobytes("A") == want.data.tobytes("A")
+
+
+@pytest.mark.parametrize("mode", ["zscore", "l2", "none"])
+def test_cache_hit_loads_the_bits_of_the_parse(parse_paths, monkeypatch, mode):
+    path = parse_paths / "forked"
+    shutil.rmtree(path / dataset._CACHE_DIR, ignore_errors=True)
+    missed = load_dataset(path, normalize=mode)
+    assert [name.split(".")[0] for name in _cache_names(path)] == ["view_0"]
+    parsed = []
+    real = dataset._parse_in_ranges
+
+    def spy(path, meanwhile=None):
+        parsed.append(path.name)
+        return real(path, meanwhile)
+    monkeypatch.setattr(dataset, "_parse_in_ranges", spy)
+    hit = load_dataset(path, normalize=mode)
+    assert "view_0.csv" not in parsed and "view_1.csv" in parsed
+    assert hit.normalization == mode
+    for got, want in zip(hit.views, missed.views):
         assert got.data.flags.f_contiguous and want.data.flags.f_contiguous
         assert got.data.tobytes("A") == want.data.tobytes("A")
 
@@ -610,3 +635,122 @@ def test_small_files_never_fork(tmp_path, monkeypatch):
     load_dataset(FIXTURE_DIR)
     write_dataset(_tiny(per_class=50, dims=(30, 30)), tmp_path)
     load_dataset(tmp_path)
+    assert not (FIXTURE_DIR / dataset._CACHE_DIR).exists()
+    assert not (tmp_path / dataset._CACHE_DIR).exists()
+
+
+# --- parse cache ---
+
+def _cache_names(directory):
+    return sorted(os.listdir(directory / dataset._CACHE_DIR))
+
+
+@pytest.fixture(scope="module")
+def big_csv_bytes():
+    """A CSV just over the 4 MiB from which a file is split and cached."""
+    buf = io.StringIO()
+    np.savetxt(buf, np.random.default_rng(5).standard_normal((3400, 64)),
+               fmt="%.17g", delimiter=",")
+    text = buf.getvalue().encode()
+    assert len(text) >= 2 * dataset._MIN_RANGE_BYTES
+    return text
+
+
+@pytest.fixture
+def big_csv(tmp_path, big_csv_bytes):
+    path = tmp_path / "view.csv"
+    path.write_bytes(big_csv_bytes)
+    return path
+
+
+def _parse(path):
+    return dataset._read_csv_matrix(path, "view 0")
+
+
+@pytest.mark.parametrize("below", [1, 0], ids=["one byte under 4 MiB", "4 MiB"])
+def test_only_files_of_4_mib_or_more_are_cached(tmp_path, big_csv_bytes, below):
+    size = 2 * dataset._MIN_RANGE_BYTES - below
+    head = big_csv_bytes[:big_csv_bytes.rindex(b"\n", 0, size - 100) + 1]
+    path = tmp_path / "view.csv"
+    path.write_bytes(head + b"#" * (size - len(head) - 1) + b"\n")
+    assert path.stat().st_size == size
+    _parse(path)
+    assert (tmp_path / dataset._CACHE_DIR).exists() == (below == 0)
+
+
+def test_rewritten_csv_of_the_same_size_and_mtime_is_a_miss(big_csv):
+    _parse(big_csv)
+    old = _cache_names(big_csv.parent)
+    stat = big_csv.stat()
+    big_csv.write_bytes(b"".join(reversed(big_csv.read_bytes().splitlines(keepends=True))))
+    os.utime(big_csv, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert (big_csv.stat().st_size, big_csv.stat().st_mtime_ns) == (
+        stat.st_size, stat.st_mtime_ns)
+    got = _parse(big_csv)
+    assert got.tobytes() == np.loadtxt(big_csv, delimiter=",", ndmin=2).tobytes()
+    new = _cache_names(big_csv.parent)
+    assert len(new) == 1 and new != old
+
+
+@pytest.mark.parametrize("damage", ["truncated", "float32", "fortran", "object"])
+def test_unreadable_entry_is_a_miss_and_is_replaced(big_csv, damage):
+    want = _parse(big_csv)
+    [name] = _cache_names(big_csv.parent)
+    entry = big_csv.parent / dataset._CACHE_DIR / name
+    if damage == "truncated":
+        entry.write_bytes(entry.read_bytes()[:entry.stat().st_size // 2])
+    else:
+        bad = {"float32": lambda: want.astype(np.float32),
+               "fortran": lambda: np.asfortranarray(want),
+               "object": lambda: np.array([None, want], dtype=object)}[damage]()
+        with open(entry, "wb") as f:
+            np.save(f, bad)
+    got = _parse(big_csv)
+    assert got.dtype == np.float64 and got.flags.c_contiguous
+    assert got.tobytes("A") == want.tobytes("A")
+    assert _cache_names(big_csv.parent) == [name]
+    replaced = np.load(entry)
+    assert replaced.flags.c_contiguous and replaced.tobytes("A") == want.tobytes("A")
+
+
+def test_cache_dir_that_is_a_file_leaves_a_normal_load(big_csv):
+    blocker = big_csv.parent / dataset._CACHE_DIR
+    blocker.write_text("not a directory\n")
+    got = _parse(big_csv)
+    assert got.tobytes() == np.loadtxt(big_csv, delimiter=",", ndmin=2).tobytes()
+    assert blocker.read_text() == "not a directory\n"
+
+
+def test_failed_parse_writes_no_entry(big_csv):
+    big_csv.write_bytes(big_csv.read_bytes() + b"1.0,banana,3\n")
+    with pytest.raises(DatasetError, match="^view 0: could not parse"):
+        _parse(big_csv)
+    assert not (big_csv.parent / dataset._CACHE_DIR).exists()
+
+
+def test_csv_touched_during_the_parse_writes_no_entry(big_csv, monkeypatch):
+    real = dataset._parse_in_ranges
+
+    def touching(path, meanwhile=None):
+        arr = real(path, meanwhile)
+        os.utime(path, ns=(0, path.stat().st_mtime_ns + 10**9))
+        return arr
+    monkeypatch.setattr(dataset, "_parse_in_ranges", touching)
+    assert _parse(big_csv).tobytes() == np.loadtxt(big_csv, delimiter=",", ndmin=2).tobytes()
+    assert not (big_csv.parent / dataset._CACHE_DIR).exists()
+
+
+def test_entries_are_matched_by_exact_file_name(tmp_path, big_csv_bytes):
+    path = tmp_path / "view[0].csv"
+    path.write_bytes(big_csv_bytes)
+    cache = tmp_path / dataset._CACHE_DIR
+    cache.mkdir()
+    stale = "view[0].csv." + "0" * 64 + ".npy"
+    others = ["view0.csv." + "1" * 64 + ".npy", "xview[0].csv." + "2" * 64 + ".npy",
+              "view[0].csv." + "3" * 63 + ".npy", "view[0].csv.npy", "view[0].csv"]
+    for name in [stale, *others]:
+        (cache / name).write_bytes(b"")
+    want = _parse(path)
+    new = set(_cache_names(tmp_path)) - set(others)
+    assert len(new) == 1 and stale not in new
+    assert np.load(cache / new.pop()).tobytes() == want.tobytes()
