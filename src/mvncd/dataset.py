@@ -15,7 +15,7 @@ import re
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,6 +27,9 @@ _MIN_RANGE_BYTES = 1 << 21
 # The parse of a CSV large enough to be split is kept beside it in this
 # directory, so that later loads of the same bytes read no text.
 _CACHE_DIR = ".mvncd_cache"
+# Part of every cache key: the parse rules an entry was made under. Change
+# it whenever _read_csv_matrix or _parse_in_ranges parse differently.
+_PARSE_FORMAT = "mvncd parse 1: loadtxt delimiter=',' ndmin=2 dtype=float64, rows in file order"
 
 
 class DatasetError(ValueError):
@@ -378,7 +381,8 @@ def _read_csv_matrix(path: Path, what: str) -> np.ndarray:
     each; if that path does not apply or fails anywhere, the whole file is
     parsed in-process, so results and error messages are those of the
     serial parse either way. A large file's parse is read from, or saved
-    to, its :class:`_ParseCache` entry.
+    to, its :class:`_ParseCache` entry. Any change to these parse rules
+    must change ``_PARSE_FORMAT``, or old entries keep being served.
     """
     if not path.is_file():
         raise DatasetError(f"{what}: file not found: {path}")
@@ -387,7 +391,7 @@ def _read_csv_matrix(path: Path, what: str) -> np.ndarray:
     arr = cache.lookup() if cache else None
     hit = arr is not None
     if not hit:
-        arr = _parse_in_ranges(path, meanwhile=cache.hash if cache else None)
+        arr = _parse_in_ranges(path)
     if arr is None:
         try:
             with warnings.catch_warnings():
@@ -404,9 +408,12 @@ def _read_csv_matrix(path: Path, what: str) -> np.ndarray:
 
 class _ParseCache:
     """The cached parse of one CSV: ``<csv dir>/.mvncd_cache/<csv name>.<key>.npy``,
-    where the key is the SHA-256 of numpy's version and the file's bytes, so
-    an entry cannot go stale. The file keeps at most one entry. Any OSError
-    on the cache's side leaves the caller with its own parse."""
+    where the key is the SHA-256 of ``_PARSE_FORMAT``, numpy's version and
+    the file's bytes, so an entry does not go stale while the parse rules
+    stay those of its tag. The file keeps at most one entry. An entry is
+    read only if it is owned by the CSV's owner or by the reading user and
+    is writable by neither group nor others. Any OSError on the cache's
+    side leaves the caller with its own parse."""
 
     def __init__(self, path: Path, stat: os.stat_result):
         self.path = path
@@ -424,6 +431,14 @@ class _ParseCache:
     def _entry(self) -> str:
         return f"{self.path.name}.{self.digest}.npy"
 
+    def _trusted(self, entry: os.stat_result) -> bool:
+        # an entry's values are not checked against the CSV, so whoever can
+        # write the entry decides what is loaded
+        if not hasattr(os, "geteuid"):
+            return True
+        return (entry.st_uid in (self.stat.st_uid, os.geteuid())
+                and not entry.st_mode & 0o022)
+
     def hash(self) -> None:
         """Set ``digest``, once, from the file read 1 MiB at a time: a whole
         read or an mmap would count toward the peak RSS. It stays None if
@@ -431,7 +446,7 @@ class _ParseCache:
         if self.digest is not None:
             return
         import hashlib  # 5.8 ms to import, which `import mvncd.cli` does not pay
-        h = hashlib.sha256(np.__version__.encode())
+        h = hashlib.sha256(f"{_PARSE_FORMAT}; numpy {np.__version__}".encode())
         block = bytearray(1 << 20)
         view = memoryview(block)
         try:
@@ -444,8 +459,8 @@ class _ParseCache:
 
     def lookup(self) -> np.ndarray | None:
         """The cached parse, or None. The file is hashed only when it has an
-        entry; an entry that cannot be read or is not a 2-d C-order float64
-        array is a miss."""
+        entry; an entry that is not trusted, cannot be read or is not a 2-d
+        C-order float64 array is a miss."""
         entries = self._entries()
         if not entries:
             return None
@@ -454,6 +469,8 @@ class _ParseCache:
             return None
         try:
             with open(self.dir / self._entry(), "rb") as f:
+                if not self._trusted(os.fstat(f.fileno())):
+                    return None
                 arr = np.load(f, allow_pickle=False)
         except (OSError, ValueError, EOFError):
             return None
@@ -465,18 +482,20 @@ class _ParseCache:
     def store(self, arr: np.ndarray) -> None:
         """Save ``arr``, the file's parse, as its entry and delete its other
         entries; nothing is saved when the file's size or mtime is no longer
-        that of ``stat``, taken before the file was hashed and parsed."""
+        that of ``stat``, taken before the file was parsed and hashed."""
         self.hash()
         try:
             now = self.path.stat()
             if self.digest is None or ((now.st_size, now.st_mtime_ns)
                                        != (self.stat.st_size, self.stat.st_mtime_ns)):
                 return
-            self.dir.mkdir(exist_ok=True)
+            self.dir.mkdir(mode=0o755, exist_ok=True)
             entry = self._entry()
             tmp = self.dir / f".{entry}.{os.getpid()}.tmp"
+            # O_EXCL: never write through a name someone else put there
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
             try:
-                with open(tmp, "wb") as f:
+                with open(fd, "wb") as f:
                     np.save(f, arr)
                 os.replace(tmp, self.dir / entry)
             finally:
@@ -494,12 +513,10 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _parse_in_ranges(path: Path, meanwhile: Callable[[], None] | None = None
-                     ) -> np.ndarray | None:
+def _parse_in_ranges(path: Path) -> np.ndarray | None:
     """Parse ``path`` in one forked child per line-aligned byte range and
     assemble the rows in one array; None when the file is not split, or a
-    child fails, yields no rows or disagrees on the column count. Once the
-    children run, the parent calls ``meanwhile`` before it reads them."""
+    child fails, yields no rows or disagrees on the column count."""
     size = path.stat().st_size
     parts = min(_usable_cpus(), size // _MIN_RANGE_BYTES)
     if parts < 2 or not hasattr(os, "fork"):
@@ -530,8 +547,6 @@ def _parse_in_ranges(path: Path, meanwhile: Callable[[], None] | None = None
                                    [r, *(pipe.fileno() for _, pipe in children)])
             os.close(w)
             children.append((pid, open(r, "rb")))
-        if meanwhile is not None:
-            meanwhile()
         # readinto stops short of a full buffer only at EOF: the child failed
         shapes = np.empty((len(children), 2), dtype=np.int64)
         for (_, pipe), shape in zip(children, shapes):

@@ -443,8 +443,8 @@ def test_load_normalized_equals_normalize_after_load(
     forked = []
     real = dataset._parse_in_ranges
 
-    def spy(path, meanwhile=None):
-        arr = real(path, meanwhile)
+    def spy(path):
+        arr = real(path)
         forked.append(arr is not None)
         return arr
     monkeypatch.setattr(dataset, "_parse_in_ranges", spy)
@@ -471,9 +471,9 @@ def test_cache_hit_loads_the_bits_of_the_parse(parse_paths, monkeypatch, mode):
     parsed = []
     real = dataset._parse_in_ranges
 
-    def spy(path, meanwhile=None):
+    def spy(path):
         parsed.append(path.name)
-        return real(path, meanwhile)
+        return real(path)
     monkeypatch.setattr(dataset, "_parse_in_ranges", spy)
     hit = load_dataset(path, normalize=mode)
     assert "view_0.csv" not in parsed and "view_1.csv" in parsed
@@ -731,8 +731,8 @@ def test_failed_parse_writes_no_entry(big_csv):
 def test_csv_touched_during_the_parse_writes_no_entry(big_csv, monkeypatch):
     real = dataset._parse_in_ranges
 
-    def touching(path, meanwhile=None):
-        arr = real(path, meanwhile)
+    def touching(path):
+        arr = real(path)
         os.utime(path, ns=(0, path.stat().st_mtime_ns + 10**9))
         return arr
     monkeypatch.setattr(dataset, "_parse_in_ranges", touching)
@@ -754,3 +754,47 @@ def test_entries_are_matched_by_exact_file_name(tmp_path, big_csv_bytes):
     new = set(_cache_names(tmp_path)) - set(others)
     assert len(new) == 1 and stale not in new
     assert np.load(cache / new.pop()).tobytes() == want.tobytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "geteuid"), reason="POSIX owners and modes")
+@pytest.mark.parametrize("owner, mode, served", [
+    (None, 0o644, True), (54321, 0o644, False), (None, 0o664, False), (None, 0o646, False)],
+    ids=["own entry", "foreign owner", "group-writable", "world-writable"])
+def test_only_a_trusted_entry_is_served(big_csv, owner, mode, served):
+    want = _parse(big_csv)
+    [name] = _cache_names(big_csv.parent)
+    entry = big_csv.parent / dataset._CACHE_DIR / name
+    forged = want + 1.0
+    with open(entry, "wb") as f:
+        np.save(f, forged)
+    if owner is not None:
+        os.chown(entry, owner, -1)
+    os.chmod(entry, mode)
+    got = _parse(big_csv)
+    assert got.tobytes() == (forged if served else want).tobytes()
+    assert _cache_names(big_csv.parent) == [name]
+    assert np.load(entry).tobytes() == (forged if served else want).tobytes()
+    if not served:
+        assert entry.stat().st_uid == os.geteuid() and not entry.stat().st_mode & 0o022
+
+
+def test_parse_rules_are_part_of_the_key(big_csv, monkeypatch):
+    want = _parse(big_csv)
+    [old] = _cache_names(big_csv.parent)
+    monkeypatch.setattr(dataset, "_PARSE_FORMAT", dataset._PARSE_FORMAT + " changed")
+    assert _parse(big_csv).tobytes() == want.tobytes()
+    [new] = _cache_names(big_csv.parent)
+    assert new != old
+
+
+def test_store_never_writes_through_a_planted_temporary_name(big_csv):
+    cache = dataset._ParseCache(big_csv, big_csv.stat())
+    cache.hash()
+    victim = big_csv.parent / "victim.txt"
+    victim.write_text("keep me\n")
+    cache.dir.mkdir()
+    planted = cache.dir / f".{cache._entry()}.{os.getpid()}.tmp"
+    planted.symlink_to(victim)
+    assert _parse(big_csv).tobytes() == np.loadtxt(big_csv, delimiter=",", ndmin=2).tobytes()
+    assert victim.read_text() == "keep me\n"
+    assert _cache_names(big_csv.parent) == [planted.name]
