@@ -12,10 +12,11 @@ import json
 import math
 import os
 import re
+import threading
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -30,6 +31,17 @@ _CACHE_DIR = ".mvncd_cache"
 # Part of every cache key: the parse rules an entry was made under. Change
 # it whenever _read_csv_matrix or _parse_in_ranges parse differently.
 _PARSE_FORMAT = "mvncd parse 1: loadtxt delimiter=',' ndmin=2 dtype=float64, rows in file order"
+# Views are looked up, checked and normalized on up to this many threads
+# per usable CPU. The work releases the GIL (SHA-256, file reads, ufuncs),
+# and more threads than CPUs share the CPUs evenly: three views on two
+# threads would leave one thread two views to do.
+_THREADS_PER_CPU = 2
+# The squares that normalization sums are formed this many bytes at a
+# time, per view, so the views normalized at once hold about 1 MiB.
+_SQUARES_BYTES = 1 << 18
+# What os.fork warns from Python 3.12 on in a process with more than one
+# OS thread; numpy's BLAS pool makes every process here such a process.
+_FORK_WARNING = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) may lead to deadlocks"
 
 
 class DatasetError(ValueError):
@@ -163,17 +175,19 @@ def _class_split(labels: np.ndarray, num_classes: int,
 def _checked_views(view_arrays: Sequence[np.ndarray], n: int) -> tuple[ViewMatrix, ...]:
     if len(view_arrays) == 0:
         raise DatasetError("dataset needs at least one view")
-    views = []
-    for i, arr in enumerate(view_arrays):
-        arr = np.asarray(arr, dtype=float)
-        if arr.ndim != 2:
-            raise DatasetError(f"view {i}: expected a 2-d matrix, got ndim={arr.ndim}")
-        if arr.shape[1] != n:
-            raise DatasetError(f"view {i}: has {arr.shape[1]} samples, labels have {n}")
-        if not np.all(np.isfinite(arr)):
-            raise DatasetError(f"view {i}: contains non-finite values")
-        views.append(ViewMatrix(data=arr))
-    return tuple(views)
+    return tuple(ViewMatrix(data=_checked_view(arr, i, n))
+                 for i, arr in enumerate(view_arrays))
+
+
+def _checked_view(arr: np.ndarray, i: int, n: int) -> np.ndarray:
+    arr = np.asarray(arr, dtype=float)
+    if arr.ndim != 2:
+        raise DatasetError(f"view {i}: expected a 2-d matrix, got ndim={arr.ndim}")
+    if arr.shape[1] != n:
+        raise DatasetError(f"view {i}: has {arr.shape[1]} samples, labels have {n}")
+    if not np.all(np.isfinite(arr)):
+        raise DatasetError(f"view {i}: contains non-finite values")
+    return arr
 
 
 def _integer_labels(labels: np.ndarray, k: int) -> np.ndarray:
@@ -229,38 +243,76 @@ def _check_mode(mode: str) -> None:
 def _normalized(ds: MultiViewDataset, mode: str, in_place: bool) -> MultiViewDataset:
     """``ds`` with its views normalized under ``mode``, into new arrays or,
     with ``in_place``, into the views' own arrays; ``ds`` itself when
-    ``mode`` is "none" or already ``ds.normalization``. A new array is laid
-    out as its source, so both ways make the same ufunc calls on the same
-    layout and give the same bits."""
+    ``mode`` is "none" or already ``ds.normalization``. The views are
+    normalized on :func:`_each_view`'s threads; a refusal names the lowest
+    failing view. A new array is laid out as its source, so both ways make
+    the same ufunc calls on the same layout and give the same bits."""
     if mode == "none" or mode == ds.normalization:
         return ds
-    views = []
-    for i, view in enumerate(ds.views):
-        data = view.data
+    views = [None] * ds.num_views
+
+    def normalize(i: int) -> None:
+        data = ds.views[i].data
         out = data if in_place else np.empty_like(data)
+        views[i] = ViewMatrix(data=_normalize_view(data, out, mode, i))
+    for exc in _each_view(normalize, ds.num_views):
+        if exc is not None:
+            raise exc
+    return replace(ds, views=tuple(views), normalization=mode)
+
+
+def _normalize_view(data: np.ndarray, out: np.ndarray, mode: str, i: int) -> np.ndarray:
+    """View ``i``'s ``data`` normalized under ``mode`` into ``out``, which
+    may be ``data`` itself; ``data`` when ``mode`` is "none". Refuses the
+    view when a sum of squares is not finite: a value or a square beyond
+    the float range, or a mean that overflowed. Dividing by such a sum
+    would zero a feature row (zscore) or a sample (l2) without a word.
+    A finite sum s bounds every value c it sums, c² <= s, so each c is
+    finite, and c / sqrt(s / n) (zscore, at most sqrt(n) in size) and
+    c / sqrt(s) (l2, at most 1) are finite too: no output value needs a
+    check of its own."""
+    if mode == "none":
+        return data
+    with np.errstate(over="ignore", invalid="ignore"):
         if mode == "zscore":
             np.subtract(data, data.mean(axis=1, keepdims=True), out=out)
-            std = np.sqrt(_sums_of_squares(out, axis=1) / out.shape[1])
-            np.divide(out, np.where(std > 0, std, 1.0), out=out)
+            sums = _sums_of_squares(out, axis=1)
         else:
-            norms = np.sqrt(_sums_of_squares(data, axis=0))
-            np.divide(data, np.where(norms > 0, norms, 1.0), out=out)
-        # a mean that overflows leaves infinities; min and max propagate
-        # them and NaN without a data-sized mask
-        if not (np.isfinite(out.min()) and np.isfinite(out.max())):
-            raise DatasetError(f"view {i}: contains non-finite values")
-        views.append(ViewMatrix(data=out))
-    return replace(ds, views=tuple(views), normalization=mode)
+            sums = _sums_of_squares(data, axis=0)
+    if not np.all(np.isfinite(sums)):
+        raise DatasetError(f"view {i}: contains non-finite values")
+    if mode == "zscore":
+        std = np.sqrt(sums / out.shape[1])
+        np.divide(out, np.where(std > 0, std, 1.0), out=out)
+    else:
+        norms = np.sqrt(sums)
+        np.divide(data, np.where(norms > 0, norms, 1.0), out=out)
+    return out
 
 
 def _sums_of_squares(x: np.ndarray, axis: int) -> np.ndarray:
     """The sums of squares of ``x`` along ``axis`` (kept as a length-1
     axis), summed as np.std sums its centred copy and np.linalg.norm its
-    squares, squaring about 1 MiB of lines at a time. A block holds two
-    lines or more: numpy sums a lone strided line pairwise, but the lines
-    of a whole array across their stride one element at a time."""
+    squares, squaring about ``_SQUARES_BYTES`` at a time.
+
+    numpy sums a contiguous line pairwise, and the lines of a whole array
+    across their stride one element at a time, in order. Lines that run
+    across the stride of a contiguous array are therefore squared a block
+    of columns at a time, into a buffer behind a column that holds their
+    sums so far, and summed on from there. Other lines are squared whole,
+    a block of lines at a time; a block holds two lines or more, because
+    numpy sums a lone strided line pairwise."""
     other = 1 - axis
-    blocks = max(1, min(x.shape[other] // 2, x.nbytes >> 20))
+    if x.strides[other] == x.itemsize != x.strides[axis] and x.shape[other] > 1:
+        cols = x if axis == 1 else x.T   # F-contiguous, a line per row
+        step = max(1, _SQUARES_BYTES // (x.itemsize * cols.shape[0]) - 1)
+        buf = np.zeros((cols.shape[0], step + 1), dtype=x.dtype, order="F")
+        for start in range(0, cols.shape[1], step):
+            part = cols[:, start:start + step]
+            np.square(part, out=buf[:, 1:1 + part.shape[1]])
+            buf[:, 0] = buf[:, :1 + part.shape[1]].sum(axis=1)
+        return np.expand_dims(buf[:, 0], axis)
+    blocks = max(1, min(x.shape[other] // 2, x.nbytes // _SQUARES_BYTES))
     return np.concatenate([np.square(part).sum(axis=axis, keepdims=True)
                            for part in np.array_split(x, blocks, axis=other)],
                           axis=other)
@@ -297,18 +349,89 @@ def load_dataset(path: str | Path, known_classes: Sequence[int] | None = None,
     ``normalize`` is applied in place to the parsed views, so no raw copy
     stays behind; the result equals ``normalize_features(load_dataset(path),
     normalize)`` bit for bit.
+
+    Each view is one task on :func:`_each_view`'s threads: it looks its CSV
+    up in the parse cache and, on a hit, checks and normalizes the view.
+    The CSVs with no entry are parsed after every thread has ended, in the
+    calling thread and in view order, and are then checked and normalized
+    on the threads. A refusal is the one the serial loader meets first: it
+    reads every view, then checks every view, then normalizes every view,
+    each in view order.
     """
     _check_mode(normalize)
     entries, split = read_manifest(path, known_classes)
-    arrays = []
-    for i, (view_path, dim) in enumerate(entries):
-        arr = _read_csv_matrix(view_path, f"view {i}")
-        if arr.shape[1] != dim:
+    n = split["labels"].size
+    count = len(entries)
+    arrays: list[np.ndarray | None] = [None] * count   # d x n, once read
+    caches: list[_ParseCache | None] = [None] * count
+    views: list[ViewMatrix | None] = [None] * count
+    # the serial loader's step each view is in: 0 read, 1 check, 2 normalize
+    steps = [0] * count
+
+    def read(i: int, arr: np.ndarray) -> None:
+        if arr.shape[1] != entries[i][1]:
             raise DatasetError(f"view {i}: file has {arr.shape[1]} feature "
-                               f"columns, manifest declares {dim}")
-        arrays.append(arr.T)
-    ds = MultiViewDataset(views=_checked_views(arrays, split["labels"].size), **split)
-    return _normalized(ds, normalize, in_place=True)
+                               f"columns, manifest declares {entries[i][1]}")
+        arrays[i] = arr.T
+
+    def finish(i: int) -> None:
+        steps[i] = 1
+        data = _checked_view(arrays[i], i, n)
+        steps[i] = 2
+        views[i] = ViewMatrix(data=_normalize_view(data, data, normalize, i))
+
+    def from_cache(i: int) -> None:
+        arr, caches[i] = _cache_lookup(entries[i][0], f"view {i}")
+        if arr is not None:
+            read(i, arr)
+            finish(i)
+
+    failed = _each_view(from_cache, count)
+    for i in range(count):
+        if failed[i] is not None and steps[i] == 0:
+            raise failed[i]
+        if arrays[i] is None:
+            read(i, _parse_csv(entries[i][0], f"view {i}", caches[i]))
+    missed = [i for i in range(count) if views[i] is None and failed[i] is None]
+    for i, exc in zip(missed, _each_view(lambda j: finish(missed[j]), len(missed))):
+        failed[i] = exc
+    first = min(((steps[i], i) for i in range(count) if failed[i] is not None),
+                default=None)
+    if first is not None:
+        raise failed[first[1]]
+    return MultiViewDataset(views=tuple(views), normalization=normalize, **split)
+
+
+def _each_view(task: Callable[[int], None], count: int) -> list[BaseException | None]:
+    """Call ``task(i)`` for every view i in range(count), and return what
+    each call raised, or None, by view; nothing is raised here. The calls
+    run on up to one thread per view, at most ``_THREADS_PER_CPU`` per
+    usable CPU, the calling thread being one of them; thread t takes views
+    t, t + threads, ... in order. With one usable CPU or one view every
+    call runs in the calling thread. Every thread has ended on return."""
+    cpus = _usable_cpus()
+    # on one CPU the threads would only take turns
+    workers = max(1, min(count, _THREADS_PER_CPU * cpus if cpus > 1 else 1))
+    failed: list[BaseException | None] = [None] * count
+
+    def work(first: int) -> None:
+        for i in range(first, count, workers):
+            try:
+                task(i)
+            except BaseException as exc:  # the caller raises it in its own thread
+                failed[i] = exc
+
+    threads = []
+    try:
+        for first in range(1, workers):
+            threads.append(threading.Thread(target=work, args=(first,)))
+            threads[-1].start()
+        work(0)
+    finally:
+        for thread in threads:
+            if thread.ident is not None:
+                thread.join()
+    return failed
 
 
 def read_manifest(path: str | Path, known_classes: Sequence[int] | None = None
@@ -377,21 +500,38 @@ def read_integers(path: str | Path, what: str) -> np.ndarray:
 def _read_csv_matrix(path: Path, what: str) -> np.ndarray:
     """Parse a CSV as ``np.loadtxt(delimiter=",", ndmin=2, dtype=float)``.
 
-    A large file is parsed by forked children, one line-aligned byte range
-    each; if that path does not apply or fails anywhere, the whole file is
-    parsed in-process, so results and error messages are those of the
-    serial parse either way. A large file's parse is read from, or saved
-    to, its :class:`_ParseCache` entry. Any change to these parse rules
-    must change ``_PARSE_FORMAT``, or old entries keep being served.
+    A large file's parse is read from, or saved to, its :class:`_ParseCache`
+    entry (:func:`_cache_lookup`), and a miss is parsed by :func:`_parse_csv`.
+    Any change to these parse rules must change ``_PARSE_FORMAT``, or old
+    entries keep being served.
     """
+    arr, cache = _cache_lookup(path, what)
+    return _parse_csv(path, what, cache) if arr is None else arr
+
+
+def _cache_lookup(path: Path, what: str) -> tuple[np.ndarray | None, _ParseCache | None]:
+    """The parse of ``path`` from its cache entry, None on a miss, and the
+    file's cache, None when the file is too small to be cached. Safe to
+    call on any thread; the file is hashed at most once per cache."""
     if not path.is_file():
         raise DatasetError(f"{what}: file not found: {path}")
     stat = path.stat()
-    cache = _ParseCache(path, stat) if stat.st_size >= 2 * _MIN_RANGE_BYTES else None
-    arr = cache.lookup() if cache else None
-    hit = arr is not None
-    if not hit:
-        arr = _parse_in_ranges(path)
+    if stat.st_size < 2 * _MIN_RANGE_BYTES:
+        return None, None
+    cache = _ParseCache(path, stat)
+    return cache.lookup(), cache
+
+
+def _parse_csv(path: Path, what: str, cache: _ParseCache | None) -> np.ndarray:
+    """Parse ``path``, and save the parse to ``cache`` unless it is None.
+
+    A large file is parsed by forked children, one line-aligned byte range
+    each; if that path does not apply or fails anywhere, the whole file is
+    parsed in-process, so results and error messages are those of the
+    serial parse either way. Call it only while no other thread of this
+    program runs: a fork copies the calling thread alone.
+    """
+    arr = _parse_in_ranges(path)
     if arr is None:
         try:
             with warnings.catch_warnings():
@@ -401,7 +541,7 @@ def _read_csv_matrix(path: Path, what: str) -> np.ndarray:
             raise DatasetError(f"{what}: could not parse {path}: {exc}") from exc
     if arr.shape[0] == 0:
         raise DatasetError(f"{what}: no data rows in {path}")
-    if cache and not hit:
+    if cache:
         cache.store(arr)
     return arr
 
@@ -460,7 +600,7 @@ class _ParseCache:
     def lookup(self) -> np.ndarray | None:
         """The cached parse, or None. The file is hashed only when it has an
         entry; an entry that is not trusted, cannot be read or is not a 2-d
-        C-order float64 array is a miss."""
+        C-order float64 array with a row is a miss."""
         entries = self._entries()
         if not entries:
             return None
@@ -475,7 +615,7 @@ class _ParseCache:
         except (OSError, ValueError, EOFError):
             return None
         if (isinstance(arr, np.ndarray) and arr.ndim == 2 and arr.dtype == np.float64
-                and arr.flags.c_contiguous):
+                and arr.flags.c_contiguous and arr.shape[0] > 0):
             return arr
         return None
 
@@ -537,16 +677,30 @@ def _parse_in_ranges(path: Path) -> np.ndarray | None:
         for start, stop in zip(cuts, cuts[1:]):
             r, w = os.pipe()
             try:
-                pid = os.fork()
-            except OSError:
+                with warnings.catch_warnings():
+                    # Safe here: the child only parses its range and calls
+                    # os._exit, and no thread of ours runs during a parse
+                    # (see _parse_csv); the other threads are numpy's BLAS
+                    # pool, which the child never calls. As an error, the
+                    # warning would be raised after the child exists.
+                    warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
+                    pid = os.fork()
+            except BaseException:
                 os.close(r)
                 os.close(w)
                 raise
             if pid == 0:
                 _parse_range_child(path, start, stop, w,
                                    [r, *(pipe.fileno() for _, pipe in children)])
-            os.close(w)
-            children.append((pid, open(r, "rb")))
+            try:
+                os.close(w)
+                pipe = open(r, "rb")
+            except BaseException:
+                # not on record yet, so the finally below would miss it
+                os.close(r)
+                os.waitpid(pid, 0)
+                raise
+            children.append((pid, pipe))
         # readinto stops short of a full buffer only at EOF: the child failed
         shapes = np.empty((len(children), 2), dtype=np.int64)
         for (_, pipe), shape in zip(children, shapes):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -5,6 +6,8 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -13,6 +16,8 @@ import pytest
 from conftest import FIXTURE_DIR, concat_kmeans_ncd, traced_peak
 
 from mvncd import dataset
+from dataclasses import replace
+
 from mvncd.dataset import (
     DatasetError,
     SyntheticSpec,
@@ -225,7 +230,7 @@ def test_zscore_in_place_holds_no_copy_of_the_view(layout, mode):
 
 @pytest.mark.parametrize("layout, mode", LAYOUT_MODES)
 @pytest.mark.parametrize("shape", [(7, 150_000), (1, 200_000), (3, 5),
-                                   (150_000, 7)])
+                                   (150_000, 7), (2, 100_000)])
 def test_zscore_in_place_keeps_the_bits_of_np_std(layout, mode, shape):
     # lines longer than a block: a block of one strided line out of several
     # would be summed in another order than numpy's
@@ -245,6 +250,22 @@ def test_zscore_overflow_is_refused_as_non_finite(tmp_path, where):
         else:
             write_dataset(ds, tmp_path)
             load_dataset(tmp_path, normalize="zscore")
+
+
+@pytest.mark.parametrize("where", ["copy", "load"])
+@pytest.mark.parametrize("mode", ["zscore", "l2"])
+def test_squares_beyond_the_float_range_are_refused(tmp_path, mode, where):
+    # the values are finite but their squares are not: dividing by an
+    # infinite norm would turn the row (zscore) or the samples (l2) into
+    # zeros without a word, and numpy must not warn on the way
+    x = np.array([[1e200, -1e200, 1e200, -1e200], [1.0, 2.0, 3.0, 4.0]])
+    ds = make_dataset([np.ones((2, 4)), x], np.array([0, 0, 1, 1]), 2)
+    with pytest.raises(DatasetError, match="^view 1: contains non-finite values$"):
+        if where == "copy":
+            normalize_features(ds, mode)
+        else:
+            write_dataset(ds, tmp_path)
+            load_dataset(tmp_path, normalize=mode)
 
 
 def test_l2_column_example():
@@ -626,6 +647,51 @@ def test_parallel_parse_gives_up_on_children_still_writing(tmp_path):
         dataset._read_csv_matrix(path, "view 0")
 
 
+_real_fork = os.fork
+
+
+def _warning_fork():
+    """os.fork as Python 3.12 and later run it in a process with more than
+    one OS thread: the parent warns after the child exists."""
+    pid = _real_fork()
+    if pid:
+        warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use "
+                      "of fork() may lead to deadlocks in the child.",
+                      DeprecationWarning, stacklevel=2)
+    return pid
+
+
+class _Interrupt(BaseException):
+    pass
+
+
+@pytest.mark.parametrize("fault", ["fork warns", "interrupt after the fork"])
+def test_a_fork_loses_no_child(tmp_path, monkeypatch, split_ranges, fault):
+    text, cpus = _parse_cases()["lf"]
+    path = tmp_path / "view.csv"
+    path.write_bytes(text.encode())
+    split_ranges(cpus)
+    fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    if fault == "fork warns":
+        monkeypatch.setattr(os, "fork", _warning_fork)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            parallel = dataset._parse_in_ranges(path)
+        expected = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+        assert parallel is not None and parallel.tobytes() == expected.tobytes()
+    else:
+        def interrupted_open(file, *args, **kwargs):
+            if isinstance(file, int):   # the parent's read end of a pipe
+                raise _Interrupt
+            return open(file, *args, **kwargs)
+        monkeypatch.setattr(dataset, "open", interrupted_open, raising=False)
+        with pytest.raises(_Interrupt):
+            dataset._parse_in_ranges(path)
+    _assert_no_child_left()
+    if fds is not None:
+        assert len(os.listdir("/proc/self/fd")) == fds
+
+
 def test_small_files_never_fork(tmp_path, monkeypatch):
     def no_fork():
         raise AssertionError("a small file was split")
@@ -692,7 +758,7 @@ def test_rewritten_csv_of_the_same_size_and_mtime_is_a_miss(big_csv):
     assert len(new) == 1 and new != old
 
 
-@pytest.mark.parametrize("damage", ["truncated", "float32", "fortran", "object"])
+@pytest.mark.parametrize("damage", ["truncated", "float32", "fortran", "object", "no rows"])
 def test_unreadable_entry_is_a_miss_and_is_replaced(big_csv, damage):
     want = _parse(big_csv)
     [name] = _cache_names(big_csv.parent)
@@ -702,7 +768,8 @@ def test_unreadable_entry_is_a_miss_and_is_replaced(big_csv, damage):
     else:
         bad = {"float32": lambda: want.astype(np.float32),
                "fortran": lambda: np.asfortranarray(want),
-               "object": lambda: np.array([None, want], dtype=object)}[damage]()
+               "object": lambda: np.array([None, want], dtype=object),
+               "no rows": lambda: want[:0]}[damage]()
         with open(entry, "wb") as f:
             np.save(f, bad)
     got = _parse(big_csv)
@@ -798,3 +865,156 @@ def test_store_never_writes_through_a_planted_temporary_name(big_csv):
     assert _parse(big_csv).tobytes() == np.loadtxt(big_csv, delimiter=",", ndmin=2).tobytes()
     assert victim.read_text() == "keep me\n"
     assert _cache_names(big_csv.parent) == [planted.name]
+
+
+# --- one worker per view ---
+
+@pytest.fixture(scope="module")
+def three_big_views(tmp_path_factory):
+    """A dataset of three view CSVs of 4 MiB or more, so that each is
+    cached, and next to it a copy of their cache entries."""
+    root = tmp_path_factory.mktemp("three_big_views")
+    ds = generate_synthetic(SyntheticSpec(views=3, classes=4, per_class=900,
+                                          dims=64, seed=8))
+    write_dataset(ds, root / "data")
+    for i in range(3):
+        assert (root / "data" / f"view_{i}.csv").stat().st_size >= 4 << 20
+    load_dataset(root / "data")
+    shutil.copytree(root / "data" / dataset._CACHE_DIR, root / "entries")
+    return root / "data"
+
+
+def _cache_state(path, state):
+    """Give ``three_big_views`` an entry for every view ("hit"), none
+    ("miss"), or for views 0 and 2 only ("mixed")."""
+    cache = path / dataset._CACHE_DIR
+    shutil.rmtree(cache, ignore_errors=True)
+    if state != "miss":
+        shutil.copytree(path.parent / "entries", cache)
+    if state == "mixed":
+        for name in _cache_names(path):
+            if name.startswith("view_1."):
+                (cache / name).unlink()
+
+
+def _threads_calling(monkeypatch, name, delay=None):
+    """Record the thread of every call of ``dataset.<name>``, and the
+    number of threads alive at it; ``delay(*args)`` seconds of sleep go
+    before the call."""
+    real = getattr(dataset, name)
+    calls = []
+
+    def spy(*args):
+        calls.append((threading.current_thread(), threading.active_count()))
+        time.sleep(delay(*args) if delay else 0)
+        return real(*args)
+    monkeypatch.setattr(dataset, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["zscore", "l2", "none"])
+def test_threaded_load_equals_a_one_worker_load(three_big_views, monkeypatch, mode):
+    # a hit gives the bits of a miss (test_cache_hit_loads_the_bits_of_the_parse),
+    # so one one-worker load of cached views is the reference for all three
+    monkeypatch.setattr(dataset, "_usable_cpus", lambda: 1)
+    calls = _threads_calling(monkeypatch, "_cache_lookup")
+    _cache_state(three_big_views, "hit")
+    want = load_dataset(three_big_views, normalize=mode)
+    assert {thread for thread, _ in calls} == {threading.main_thread()}
+    monkeypatch.setattr(dataset, "_usable_cpus", lambda: 2)
+    for state in ("hit", "miss", "mixed"):
+        calls = _threads_calling(monkeypatch, "_cache_lookup")
+        _cache_state(three_big_views, state)
+        got = load_dataset(three_big_views, normalize=mode)
+        # a thread per view, the calling thread one of them
+        assert len({thread for thread, _ in calls}) == 3
+        assert got.normalization == want.normalization == mode
+        for a, b in zip(got.views, want.views):
+            assert a.data.flags.f_contiguous and b.data.flags.f_contiguous
+            assert a.data.tobytes("A") == b.data.tobytes("A")
+
+
+@pytest.mark.parametrize("fault", ["non-finite", "dim"])
+def test_refusal_names_the_lowest_bad_view(three_big_views, tmp_path, monkeypatch,
+                                           fault):
+    # views 0 and 2 are bad, and view 0's task is held back, so view 2
+    # fails first in time; once with no entry, once with every entry
+    manifest = json.loads((three_big_views / "manifest.json").read_text())
+    manifest["labels"] = str(three_big_views / manifest["labels"])
+    for entry in manifest["views"]:
+        entry["path"] = str(three_big_views / entry["path"])
+    for i in (0, 2):
+        if fault == "dim":
+            manifest["views"][i]["dim"] += 1
+        else:
+            text = (three_big_views / f"view_{i}.csv").read_bytes()
+            (tmp_path / f"view_{i}.csv").write_bytes(b"nan" + text[text.index(b","):])
+            manifest["views"][i]["path"] = f"view_{i}.csv"
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    monkeypatch.setattr(dataset, "_usable_cpus", lambda: 2)
+    _threads_calling(monkeypatch, "_cache_lookup",
+                     lambda path, what: 0.2 if what == "view 0" else 0)
+    _threads_calling(monkeypatch, "_checked_view", lambda arr, i, n: 0.2 if i == 0 else 0)
+    message = ("view 0: contains non-finite values" if fault == "non-finite"
+               else "view 0: file has 64 feature columns, manifest declares 65")
+    for state in ("miss", "hit"):
+        _cache_state(three_big_views, state)
+        with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+            load_dataset(tmp_path, normalize="zscore")
+    if fault == "non-finite":   # the second load read views 0 and 2 from entries
+        assert [name.split(".")[0] for name in _cache_names(tmp_path)] == ["view_0", "view_2"]
+
+
+def test_misses_are_parsed_with_no_thread_of_ours_alive(three_big_views, monkeypatch):
+    monkeypatch.setattr(dataset, "_usable_cpus", lambda: 2)
+    _cache_state(three_big_views, "mixed")
+    before = threading.active_count()
+    forks = []
+
+    def spy_fork():
+        forks.append(threading.active_count())
+        return _real_fork()
+    monkeypatch.setattr(os, "fork", spy_fork)
+    lookups = _threads_calling(monkeypatch, "_cache_lookup")
+    load_dataset(three_big_views, normalize="zscore")
+    assert len({thread for thread, _ in lookups}) == 3
+    assert forks and set(forks) == {before}
+    _assert_no_child_left()
+
+
+def test_threads_never_outnumber_the_cap(tmp_path, monkeypatch):
+    monkeypatch.setattr(dataset, "_usable_cpus", lambda: 2)
+    cap = 2 * dataset._THREADS_PER_CPU
+    write_dataset(_tiny(dims=(3,) * 12), tmp_path)
+    before = threading.active_count()
+    lookups = _threads_calling(monkeypatch, "_cache_lookup", lambda *args: 0.01)
+    normalized = _threads_calling(monkeypatch, "_normalize_view", lambda *args: 0.01)
+    ds = load_dataset(tmp_path, normalize="zscore")
+    normalize_features(replace(ds, normalization="none"), "l2")
+    # labels.csv is read first, by read_manifest; then the views are looked
+    # up, the small files normalized, and the copy normalized
+    assert len(lookups) == 13 and len(normalized) == 24
+    for calls in (lookups[1:], normalized[:12], normalized[12:]):
+        assert len({thread for thread, _ in calls}) == cap
+        assert max(alive for _, alive in calls) <= before + cap - 1
+    assert threading.active_count() == before
+
+
+def test_a_miss_hashes_its_file_once(big_csv, monkeypatch):
+    # an entry of older bytes: the lookup hashes the file, and the new
+    # entry is stored under that same digest
+    (big_csv.parent / "labels.csv").write_text("0\n1\n" * 1700)
+    (big_csv.parent / "manifest.json").write_text(json.dumps(
+        {"views": [{"path": "view.csv", "dim": 64}], "labels": "labels.csv",
+         "num_classes": 2}))
+    want = load_dataset(big_csv.parent).views[0].data
+    [old] = _cache_names(big_csv.parent)
+    big_csv.write_bytes(big_csv.read_bytes() + big_csv.read_bytes().splitlines(True)[0])
+    (big_csv.parent / "labels.csv").write_text("0\n1\n" * 1700 + "0\n")
+    real, digests = hashlib.sha256, []
+    monkeypatch.setattr(hashlib, "sha256", lambda *args: digests.append(1) or real(*args))
+    got = load_dataset(big_csv.parent).views[0].data
+    assert len(digests) == 1
+    [new] = _cache_names(big_csv.parent)
+    assert new != old
+    assert got[:, :-1].tobytes() == want.tobytes()
