@@ -354,16 +354,18 @@ def load_dataset(path: str | Path, known_classes: Sequence[int] | None = None,
     up in the parse cache and, on a hit, checks and normalizes the view.
     The CSVs with no entry are parsed after every thread has ended, in the
     calling thread and in view order, and are then checked and normalized
-    on the threads. A refusal is the one the serial loader meets first: it
-    reads every view, then checks every view, then normalizes every view,
-    each in view order.
+    on the threads; a miss saves its cache entry there, once its view has
+    passed the checks and before it is normalized, so a view refused for
+    its ``dim``, rows or values leaves no entry. A refusal is the one the
+    serial loader meets first: it reads every view, then checks every
+    view, then normalizes every view, each in view order.
     """
     _check_mode(normalize)
     entries, split = read_manifest(path, known_classes)
     n = split["labels"].size
     count = len(entries)
     arrays: list[np.ndarray | None] = [None] * count   # d x n, once read
-    caches: list[_ParseCache | None] = [None] * count
+    caches: list[_ParseCache | None] = [None] * count  # of the misses
     views: list[ViewMatrix | None] = [None] * count
     # the serial loader's step each view is in: 0 read, 1 check, 2 normalize
     steps = [0] * count
@@ -377,12 +379,16 @@ def load_dataset(path: str | Path, known_classes: Sequence[int] | None = None,
     def finish(i: int) -> None:
         steps[i] = 1
         data = _checked_view(arrays[i], i, n)
+        if caches[i]:   # a miss: its parse, before it is normalized in place
+            caches[i].store(data.T)
         steps[i] = 2
         views[i] = ViewMatrix(data=_normalize_view(data, data, normalize, i))
 
     def from_cache(i: int) -> None:
-        arr, caches[i] = _cache_lookup(entries[i][0], f"view {i}")
-        if arr is not None:
+        arr, cache = _cache_lookup(entries[i][0], f"view {i}")
+        if arr is None:
+            caches[i] = cache
+        else:
             read(i, arr)
             finish(i)
 
@@ -391,7 +397,7 @@ def load_dataset(path: str | Path, known_classes: Sequence[int] | None = None,
         if failed[i] is not None and steps[i] == 0:
             raise failed[i]
         if arrays[i] is None:
-            read(i, _parse_csv(entries[i][0], f"view {i}", caches[i]))
+            read(i, _parse_csv(entries[i][0], f"view {i}"))
     missed = [i for i in range(count) if views[i] is None and failed[i] is None]
     for i, exc in zip(missed, _each_view(lambda j: finish(missed[j]), len(missed))):
         failed[i] = exc
@@ -500,13 +506,18 @@ def read_integers(path: str | Path, what: str) -> np.ndarray:
 def _read_csv_matrix(path: Path, what: str) -> np.ndarray:
     """Parse a CSV as ``np.loadtxt(delimiter=",", ndmin=2, dtype=float)``.
 
-    A large file's parse is read from, or saved to, its :class:`_ParseCache`
-    entry (:func:`_cache_lookup`), and a miss is parsed by :func:`_parse_csv`.
+    A large file's parse is read from its :class:`_ParseCache` entry
+    (:func:`_cache_lookup`), or parsed by :func:`_parse_csv` and saved as
+    that entry.
     Any change to these parse rules must change ``_PARSE_FORMAT``, or old
     entries keep being served.
     """
     arr, cache = _cache_lookup(path, what)
-    return _parse_csv(path, what, cache) if arr is None else arr
+    if arr is None:
+        arr = _parse_csv(path, what)
+        if cache:
+            cache.store(arr)
+    return arr
 
 
 def _cache_lookup(path: Path, what: str) -> tuple[np.ndarray | None, _ParseCache | None]:
@@ -522,8 +533,8 @@ def _cache_lookup(path: Path, what: str) -> tuple[np.ndarray | None, _ParseCache
     return cache.lookup(), cache
 
 
-def _parse_csv(path: Path, what: str, cache: _ParseCache | None) -> np.ndarray:
-    """Parse ``path``, and save the parse to ``cache`` unless it is None.
+def _parse_csv(path: Path, what: str) -> np.ndarray:
+    """Parse ``path``.
 
     A large file is parsed by forked children, one line-aligned byte range
     each; if that path does not apply or fails anywhere, the whole file is
@@ -541,8 +552,6 @@ def _parse_csv(path: Path, what: str, cache: _ParseCache | None) -> np.ndarray:
             raise DatasetError(f"{what}: could not parse {path}: {exc}") from exc
     if arr.shape[0] == 0:
         raise DatasetError(f"{what}: no data rows in {path}")
-    if cache:
-        cache.store(arr)
     return arr
 
 

@@ -338,6 +338,58 @@ def test_cost_is_the_weighted_distance_less_the_sample_norm(seed):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+# --- class statistics ---
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(k=st.integers(2, 6), extra_dims=st.lists(st.integers(0, 8), min_size=1,
+                                                 max_size=3),
+       n=st.integers(2, 80), separation=st.integers(0, 6), skew=st.integers(0, 8),
+       offset=st.integers(-1, 8), data_seed=st.integers(0, 2**32 - 1))
+def test_scatter_matches_the_blocked_pass(k, extra_dims, n, separation, skew,
+                                          offset, data_seed):
+    # uneven dims, an empty class, class means from level with the noise to
+    # 1e6 above it, feature scales 10**skew apart, and an offset of up to
+    # 1e8 that no normalization takes out (normalize="none")
+    rng = np.random.default_rng(data_seed)
+    dims = [k + e for e in extra_dims]
+    y = rng.integers(0, k - 1, size=n)  # row k - 1 stays empty
+    xs = []
+    for d in dims:
+        centers = rng.standard_normal((d, k)) * 10.0**separation
+        x = centers[:, y] + rng.standard_normal((d, n))
+        x *= 10.0 ** rng.uniform(-skew / 2, skew / 2, size=(d, 1))
+        xs.append(x + (10.0**offset if offset >= 0 else 0.0))
+    stats = solver.class_stats(xs, y, k)
+    for v, (x, d) in enumerate(zip(xs, dims)):
+        want = solver._within_scatter(x, y, stats.means[v, :d])
+        assert abs(stats.scatter[v] - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("noise", [0.0, 1e-9])
+def test_scatter_of_near_noiseless_views_is_the_blocked_pass(noise):
+    # W_v / T_v is about 1e-29 and 1e-17 here, where the class-sum identity
+    # keeps no correct digit
+    ds = normalize_features(generate_synthetic(SyntheticSpec(
+        views=3, classes=10, per_class=40, dims=20, separation=4.0,
+        noise=noise, seed=0)), "zscore")
+    y = ds.class_rows()[ds.labels]
+    xs = [view.data for view in ds.views]
+    stats = solver.class_stats(xs, y, ds.num_classes)
+    for v, x in enumerate(xs):
+        want = solver._within_scatter(x, y, stats.means[v])
+        assert stats.scatter[v] == want
+
+
+def test_scatter_of_a_view_whose_squares_overflow_is_the_blocked_pass():
+    # ||X||_F^2 is inf, the scatter about 1.4e306 (possible under "none")
+    rng = np.random.default_rng(0)
+    y = rng.integers(0, 3, size=40)
+    x = 1e155 * (1.0 + 1e-3 * rng.standard_normal((4, 40)))
+    stats = solver.class_stats([x], y, 3)
+    want = solver._within_scatter(x, y, stats.means[0])
+    assert np.isfinite(want) and stats.scatter[0] == want
+
+
 # --- centroid update ---
 
 def test_centroids_class_mean_example():
@@ -627,6 +679,33 @@ def test_fit_refuses_constant_view():
     for normalize in ("zscore", "l2", "none"):
         with pytest.raises(DatasetError, match="view 2: every feature is constant"):
             fit(ds, SolverConfig(normalize=normalize))
+
+
+def _varying_cases():
+    rng = np.random.default_rng(3)
+    wide = np.full((4, 3000), 2.0)
+    wide[2, -1] = 2.5   # past the first block of columns
+    signed = np.zeros((3, 2500))
+    signed[:, 1::2] = -0.0
+    mixed = signed.copy()
+    mixed[1, 2400] = 1e-300
+    return {
+        "random": rng.standard_normal((5, 40)),
+        "constant": np.full((5, 40), -1.5),
+        "one sample": rng.standard_normal((5, 1)),
+        "one feature": rng.standard_normal((1, 2049)),
+        "last column only": wide,
+        "signed zeros": signed,
+        "signed zeros and a tiny value": mixed,
+    }
+
+
+@pytest.mark.parametrize("case", list(_varying_cases()))
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_constant_view_scan_agrees_with_ptp(case, order):
+    x = np.asarray(_varying_cases()[case], order=order)
+    assert solver._varies(x) == bool(np.ptp(x, axis=1).any())
+    assert solver._varies(x[:, ::-1]) == bool(np.ptp(x, axis=1).any())
 
 
 def _fewer_samples_than_classes():
