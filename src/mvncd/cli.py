@@ -22,6 +22,7 @@ from mvncd.dataset import (
     NORMALIZATIONS,
     DatasetError,
     SyntheticSpec,
+    _integer_lines,
     generate_synthetic,
     load_dataset,
     read_integers,
@@ -189,8 +190,7 @@ def cmd_run(args) -> int:
     out = Path(args.out)
     _write_atomic(out / "report.json", json.dumps(report, indent=2) + "\n")
     _write_atomic(out / "trace.csv", _trace_csv(result))
-    _write_atomic(out / "assignment.csv",
-                  "".join(f"{int(c)}\n" for c in result.novel_assignment))
+    _write_atomic(out / "assignment.csv", _integer_lines(result.novel_assignment))
     m = report["metrics"]
     print(f"acc={m['acc']:.4f} nmi={m['nmi']:.4f} purity={m['purity']:.4f} "
           f"iterations={report['iterations']} converged={report['converged']}")

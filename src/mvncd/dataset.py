@@ -29,7 +29,7 @@ _MIN_RANGE_BYTES = 1 << 21
 # directory, so that later loads of the same bytes read no text.
 _CACHE_DIR = ".mvncd_cache"
 # Part of every cache key: the parse rules an entry was made under. Change
-# it whenever _read_csv_matrix or _parse_in_ranges parse differently.
+# it whenever _parse_csv or _parse_in_ranges parse differently.
 _PARSE_FORMAT = "mvncd parse 1: loadtxt delimiter=',' ndmin=2 dtype=float64, rows in file order"
 # Views are looked up, checked and normalized on up to this many threads
 # per usable CPU. The work releases the GIL (SHA-256, file reads, ufuncs),
@@ -356,9 +356,10 @@ def load_dataset(path: str | Path, known_classes: Sequence[int] | None = None,
     calling thread and in view order, and are then checked and normalized
     on the threads; a miss saves its cache entry there, once its view has
     passed the checks and before it is normalized, so a view refused for
-    its ``dim``, rows or values leaves no entry. A refusal is the one the
-    serial loader meets first: it reads every view, then checks every
-    view, then normalizes every view, each in view order.
+    its ``dim``, rows or values leaves no entry. View CSVs are the only
+    files the cache serves. The refusal raised is the first of: every
+    view's read errors and ``dim`` mismatches, in view order; then each
+    view's row count, values and normalization, in view order.
     """
     _check_mode(normalize)
     entries, split = read_manifest(path, known_classes)
@@ -367,8 +368,6 @@ def load_dataset(path: str | Path, known_classes: Sequence[int] | None = None,
     arrays: list[np.ndarray | None] = [None] * count   # d x n, once read
     caches: list[_ParseCache | None] = [None] * count  # of the misses
     views: list[ViewMatrix | None] = [None] * count
-    # the serial loader's step each view is in: 0 read, 1 check, 2 normalize
-    steps = [0] * count
 
     def read(i: int, arr: np.ndarray) -> None:
         if arr.shape[1] != entries[i][1]:
@@ -377,11 +376,9 @@ def load_dataset(path: str | Path, known_classes: Sequence[int] | None = None,
         arrays[i] = arr.T
 
     def finish(i: int) -> None:
-        steps[i] = 1
         data = _checked_view(arrays[i], i, n)
         if caches[i]:   # a miss: its parse, before it is normalized in place
             caches[i].store(data.T)
-        steps[i] = 2
         views[i] = ViewMatrix(data=_normalize_view(data, data, normalize, i))
 
     def from_cache(i: int) -> None:
@@ -394,17 +391,16 @@ def load_dataset(path: str | Path, known_classes: Sequence[int] | None = None,
 
     failed = _each_view(from_cache, count)
     for i in range(count):
-        if failed[i] is not None and steps[i] == 0:
-            raise failed[i]
-        if arrays[i] is None:
+        if arrays[i] is None:   # not read: a read error, or a miss to parse
+            if failed[i] is not None:
+                raise failed[i]
             read(i, _parse_csv(entries[i][0], f"view {i}"))
     missed = [i for i in range(count) if views[i] is None and failed[i] is None]
     for i, exc in zip(missed, _each_view(lambda j: finish(missed[j]), len(missed))):
         failed[i] = exc
-    first = min(((steps[i], i) for i in range(count) if failed[i] is not None),
-                default=None)
-    if first is not None:
-        raise failed[first[1]]
+    for exc in failed:
+        if exc is not None:
+            raise exc
     return MultiViewDataset(views=tuple(views), normalization=normalize, **split)
 
 
@@ -489,10 +485,14 @@ def _require(fields: dict, key: str, kind: type, what: str):
 
 def read_integers(path: str | Path, what: str) -> np.ndarray:
     """The values of a file with one integer per line, as floats, so that a
-    caller can range-check them before any integer cast. Every refusal is a
-    DatasetError whose message starts with ``what``."""
+    caller can range-check them before any integer cast. The file is parsed
+    as a view CSV is, but never through the parse cache, so reading it
+    writes nothing. Every refusal is a DatasetError whose message starts
+    with ``what``."""
     path = Path(path)
-    raw = _read_csv_matrix(path, what)
+    if not path.is_file():
+        raise DatasetError(f"{what}: file not found: {path}")
+    raw = _parse_csv(path, what)
     if raw.shape[1] != 1:
         raise DatasetError(f"{what}: must hold one integer per line")
     values = raw[:, 0]
@@ -501,23 +501,6 @@ def read_integers(path: str | Path, what: str) -> np.ndarray:
     if not np.all(values == np.floor(values)):
         raise DatasetError(f"{what}: contains non-integer values")
     return values
-
-
-def _read_csv_matrix(path: Path, what: str) -> np.ndarray:
-    """Parse a CSV as ``np.loadtxt(delimiter=",", ndmin=2, dtype=float)``.
-
-    A large file's parse is read from its :class:`_ParseCache` entry
-    (:func:`_cache_lookup`), or parsed by :func:`_parse_csv` and saved as
-    that entry.
-    Any change to these parse rules must change ``_PARSE_FORMAT``, or old
-    entries keep being served.
-    """
-    arr, cache = _cache_lookup(path, what)
-    if arr is None:
-        arr = _parse_csv(path, what)
-        if cache:
-            cache.store(arr)
-    return arr
 
 
 def _cache_lookup(path: Path, what: str) -> tuple[np.ndarray | None, _ParseCache | None]:
@@ -534,13 +517,16 @@ def _cache_lookup(path: Path, what: str) -> tuple[np.ndarray | None, _ParseCache
 
 
 def _parse_csv(path: Path, what: str) -> np.ndarray:
-    """Parse ``path``.
+    """Parse ``path`` as ``np.loadtxt(delimiter=",", ndmin=2, dtype=float)``;
+    it reads the text every time, and the parse cache is the caller's.
 
     A large file is parsed by forked children, one line-aligned byte range
     each; if that path does not apply or fails anywhere, the whole file is
     parsed in-process, so results and error messages are those of the
     serial parse either way. Call it only while no other thread of this
-    program runs: a fork copies the calling thread alone.
+    program runs: a fork copies the calling thread alone. Any change to
+    these parse rules must change ``_PARSE_FORMAT``, or old cache entries
+    keep being served.
     """
     arr = _parse_in_ranges(path)
     if arr is None:
@@ -769,7 +755,7 @@ def write_dataset(ds: MultiViewDataset, directory: str | Path) -> Path:
         name = f"view_{i}.csv"
         np.savetxt(directory / name, view.data.T, fmt="%.17g", delimiter=",")
         entries.append({"path": name, "dim": view.dim})
-    np.savetxt(directory / "labels.csv", ds.labels[:, None], fmt="%d")
+    (directory / "labels.csv").write_text(_integer_lines(ds.labels))
     manifest = {
         "views": entries,
         "labels": "labels.csv",
@@ -778,6 +764,13 @@ def write_dataset(ds: MultiViewDataset, directory: str | Path) -> Path:
     manifest_path = directory / MANIFEST_NAME
     manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
     return manifest_path
+
+
+def _integer_lines(values: np.ndarray) -> str:
+    """The text of a file with one integer per line, from a non-empty
+    integer array: the bytes of ``np.savetxt(fmt="%d")``, formed in one
+    join instead of a Python call per row."""
+    return "\n".join(map(str, values.tolist())) + "\n"
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import pytest
 from conftest import FIXTURE_DIR, run_cli
 
 import mvncd.cli
-from mvncd import solver
+from mvncd import dataset, solver
 from mvncd.dataset import (
     SyntheticSpec,
     generate_synthetic,
@@ -193,6 +193,64 @@ def test_run_equals_fit_on_the_views_as_stored(tmp_path, flags):
     assert (tmp_path / "trace.csv").read_text() == mvncd.cli._trace_csv(result)
     assert (tmp_path / "assignment.csv").read_text() == "".join(
         f"{int(c)}\n" for c in result.novel_assignment)
+
+
+def _with_permuted_truth(tmp_path):
+    """A copy of the fixture whose unlabeled samples' truth labels are
+    permuted among them; the known/novel split stays as it was."""
+    ds = load_dataset(FIXTURE_DIR)
+    labels = ds.labels.copy()
+    cols = ds.unlabeled_indices
+    labels[cols] = labels[cols][np.random.default_rng(0).permutation(cols.size)]
+    assert not np.array_equal(labels, ds.labels)
+    data = tmp_path / "permuted"
+    data.mkdir()
+    for path in FIXTURE_DIR.iterdir():
+        (data / path.name).write_bytes(path.read_bytes())
+    (data / "labels.csv").write_text("".join(f"{c}\n" for c in labels))
+    return data
+
+
+def _without_scores(report_path):
+    report = json.loads(report_path.read_text())
+    del report["metrics"], report["wall_time"]
+    return report
+
+
+@pytest.mark.parametrize("flags", [[], ["--init-y", "random"], ["--ablate-labeled"]],
+                         ids=["default", "random-start", "ablate-labeled"])
+def test_run_never_reads_the_truth_of_unlabeled_samples(tmp_path, flags):
+    # the truth of the unlabeled samples reaches only the metrics
+    permuted = _with_permuted_truth(tmp_path)
+    for data, out in ((FIXTURE_DIR, "a"), (permuted, "b")):
+        code, _, _ = run_cli(["run", "--data", str(data),
+                              "--out", str(tmp_path / out), *flags])
+        assert code == 0
+    a, b = tmp_path / "a", tmp_path / "b"
+    for name in ("assignment.csv", "trace.csv"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+    assert _without_scores(a / "report.json") == _without_scores(b / "report.json")
+    assert (json.loads((a / "report.json").read_text())["metrics"]
+            != json.loads((b / "report.json").read_text())["metrics"])
+
+
+def test_sweep_never_reads_the_truth_of_unlabeled_samples(tmp_path):
+    permuted = _with_permuted_truth(tmp_path)
+    for data, out in ((FIXTURE_DIR, "a"), (permuted, "b")):
+        code, _, _ = run_cli(["sweep", "--data", str(data), "--out", str(tmp_path / out),
+                              "--lambda1-grid", "1,10", "--lambda2-grid", "1,100"])
+        assert code == 0
+    a, b = tmp_path / "a", tmp_path / "b"
+    names = sorted(p.name for p in a.glob("run_l1_*.json"))
+    assert len(names) == 4 and names == sorted(p.name for p in b.glob("run_l1_*.json"))
+    for name in names:
+        assert _without_scores(a / name) == _without_scores(b / name)
+    # every summary cell but the metrics: acc, nmi and purity
+    tables = [[row.split(",") for row in (out / "summary.csv").read_text().splitlines()]
+              for out in (a, b)]
+    kept = [[row[:2] + row[5:] for row in table] for table in tables]
+    assert kept[0] == kept[1]
+    assert [row[2:5] for row in tables[0]] != [row[2:5] for row in tables[1]]
 
 
 def test_run_without_solver_flags_uses_the_config_defaults(tmp_path):
@@ -689,6 +747,28 @@ def test_eval_reads_no_view_csv(tmp_path):
     assert (code, stdout, stderr) == (0, want, "")
     (data / "view_0.csv").unlink()
     assert run_cli(["eval", "--data", str(data), "--assignment", assignment])[0] == 0
+
+
+@pytest.mark.parametrize("valid", [True, False], ids=["scored", "refused"])
+def test_eval_of_a_large_assignment_writes_nothing(tmp_path, valid):
+    # an assignment of 4 MiB or more is parsed as a large view CSV is, but
+    # only view CSVs are cached: eval never writes into a directory
+    run_fixture(tmp_path / "out")
+    plain = tmp_path / "out" / "assignment.csv"
+    _, want, _ = run_cli(["eval", "--data", str(FIXTURE_DIR), "--assignment", str(plain)])
+    ids = plain.read_text().split()
+    pad = "#" * (2 * dataset._MIN_RANGE_BYTES // len(ids))
+    big = tmp_path / "big" / "assignment.csv"
+    big.parent.mkdir()
+    big.write_text("".join(f"{c} {pad}\n" for c in ids) + ("" if valid else "0\n"))
+    assert big.stat().st_size >= 2 * dataset._MIN_RANGE_BYTES
+    code, stdout, stderr = run_cli(["eval", "--data", str(FIXTURE_DIR),
+                                    "--assignment", str(big)])
+    if valid:
+        assert (code, stdout, stderr) == (0, want, "")
+    else:
+        assert code == 2 and stderr.startswith("error: assignment: 61 entries")
+    assert os.listdir(big.parent) == ["assignment.csv"]
 
 
 @pytest.mark.parametrize("content", ["", "# header only\n\n"],

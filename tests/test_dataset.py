@@ -435,6 +435,19 @@ def test_read_integers_names_what_it_reads(tmp_path, content, message):
         dataset.read_integers(path, "ids")
 
 
+def test_refused_large_labels_file_leaves_no_cache_entry(tmp_path):
+    # labels are parsed as a view CSV is, forked parse included, but only
+    # view CSVs are cached, so a refused file of 4 MiB or more leaves nothing
+    write_dataset(_tiny(), tmp_path)
+    line = "1." + "0" * 40 + "\n"
+    labels = tmp_path / "labels.csv"
+    labels.write_text(line * (2 * dataset._MIN_RANGE_BYTES // len(line) + 1) + "0.5\n")
+    assert labels.stat().st_size >= 2 * dataset._MIN_RANGE_BYTES
+    with pytest.raises(DatasetError, match="^labels: contains non-integer values$"):
+        load_dataset(tmp_path)
+    assert not (tmp_path / dataset._CACHE_DIR).exists()
+
+
 def test_read_integers_keeps_values_beyond_the_integer_range(tmp_path):
     path = tmp_path / "ids.csv"
     path.write_text("3\n-2\n1e300\n")
@@ -596,7 +609,7 @@ def test_parallel_parse_bit_identical_to_loadtxt(tmp_path, split_ranges, case):
     expected = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
     assert parallel.shape == expected.shape
     assert parallel.tobytes() == expected.tobytes()
-    assert dataset._read_csv_matrix(path, "view 0").tobytes() == expected.tobytes()
+    assert dataset._parse_csv(path, "view 0").tobytes() == expected.tobytes()
     _assert_no_child_left()
 
 
@@ -644,7 +657,7 @@ def test_parallel_parse_gives_up_on_children_still_writing(tmp_path):
                          capture_output=True, text=True, check=True).stdout
     assert out == "reaped\n"
     with pytest.raises(DatasetError, match="number of columns changed"):
-        dataset._read_csv_matrix(path, "view 0")
+        dataset._parse_csv(path, "view 0")
 
 
 _real_fork = os.fork
@@ -730,7 +743,17 @@ def big_csv(tmp_path, big_csv_bytes):
 
 
 def _parse(path):
-    return dataset._read_csv_matrix(path, "view 0")
+    """``path`` loaded as the one view of a dataset, through the parse
+    cache's one client, ``load_dataset``; returned in the file's layout, a
+    sample per row. The labels and the manifest go beside it."""
+    lines = [line.split(b"#")[0].strip() for line in path.read_bytes().splitlines()]
+    rows = [line for line in lines if line]
+    (path.parent / "labels.csv").write_text("0\n" * len(rows))
+    manifest = path.parent / "manifest.json"
+    manifest.write_text(json.dumps({
+        "views": [{"path": path.name, "dim": rows[0].count(b",") + 1}],
+        "labels": "labels.csv", "num_classes": 2}))
+    return load_dataset(manifest).views[0].data.T
 
 
 @pytest.mark.parametrize("below", [1, 0], ids=["one byte under 4 MiB", "4 MiB"])
@@ -970,6 +993,23 @@ def test_refusal_names_the_lowest_bad_view(three_big_views, tmp_path, monkeypatc
         assert _entry_views(three_big_views) == want
 
 
+@pytest.mark.parametrize("mode", ["zscore", "l2"])
+def test_overflow_in_a_lower_view_is_named_before_a_later_nan(tmp_path, mode):
+    # view 0's values are finite but their squares overflow, so it is refused
+    # at normalization; view 2 holds a NaN, refused by its checks. A view's
+    # checks and normalization are one stage, so the lower view is named.
+    ds = _tiny(dims=(5, 6, 4))
+    arrays = [v.data.copy() for v in ds.views]
+    arrays[0][1] = 1e200 * (-1.0) ** np.arange(ds.num_samples)
+    write_dataset(make_dataset(arrays, ds.labels, ds.num_classes), tmp_path)
+    text = (tmp_path / "view_2.csv").read_text()
+    (tmp_path / "view_2.csv").write_text("nan" + text[text.index(","):])
+    with pytest.raises(DatasetError, match="^view 0: contains non-finite values$"):
+        load_dataset(tmp_path, normalize=mode)
+    with pytest.raises(DatasetError, match="^view 2: contains non-finite values$"):
+        load_dataset(tmp_path)
+
+
 def _entry_views(directory):
     """The views of ``directory`` that have a cache entry."""
     if not (directory / dataset._CACHE_DIR).exists():
@@ -1003,10 +1043,10 @@ def test_threads_never_outnumber_the_cap(tmp_path, monkeypatch):
     normalized = _threads_calling(monkeypatch, "_normalize_view", lambda *args: 0.01)
     ds = load_dataset(tmp_path, normalize="zscore")
     normalize_features(replace(ds, normalization="none"), "l2")
-    # labels.csv is read first, by read_manifest; then the views are looked
-    # up, the small files normalized, and the copy normalized
-    assert len(lookups) == 13 and len(normalized) == 24
-    for calls in (lookups[1:], normalized[:12], normalized[12:]):
+    # the views are looked up (labels.csv is read without the cache), the
+    # small files normalized, and the copy normalized
+    assert len(lookups) == 12 and len(normalized) == 24
+    for calls in (lookups, normalized[:12], normalized[12:]):
         assert len({thread for thread, _ in calls}) == cap
         assert max(alive for _, alive in calls) <= before + cap - 1
     assert threading.active_count() == before
