@@ -11,7 +11,6 @@ import io
 import json
 import math
 import os
-import re
 import threading
 import warnings
 from dataclasses import dataclass, replace
@@ -382,7 +381,7 @@ def load_dataset(path: str | Path, known_classes: Sequence[int] | None = None,
         views[i] = ViewMatrix(data=_normalize_view(data, data, normalize, i))
 
     def from_cache(i: int) -> None:
-        arr, cache = _cache_lookup(entries[i][0], f"view {i}")
+        arr, cache = _cache_lookup(entries[i][0])
         if arr is None:
             caches[i] = cache
         else:
@@ -489,10 +488,7 @@ def read_integers(path: str | Path, what: str) -> np.ndarray:
     as a view CSV is, but never through the parse cache, so reading it
     writes nothing. Every refusal is a DatasetError whose message starts
     with ``what``."""
-    path = Path(path)
-    if not path.is_file():
-        raise DatasetError(f"{what}: file not found: {path}")
-    raw = _parse_csv(path, what)
+    raw = _parse_csv(Path(path), what)
     if raw.shape[1] != 1:
         raise DatasetError(f"{what}: must hold one integer per line")
     values = raw[:, 0]
@@ -503,12 +499,13 @@ def read_integers(path: str | Path, what: str) -> np.ndarray:
     return values
 
 
-def _cache_lookup(path: Path, what: str) -> tuple[np.ndarray | None, _ParseCache | None]:
+def _cache_lookup(path: Path) -> tuple[np.ndarray | None, _ParseCache | None]:
     """The parse of ``path`` from its cache entry, None on a miss, and the
-    file's cache, None when the file is too small to be cached. Safe to
-    call on any thread; the file is hashed at most once per cache."""
+    file's cache, None when the file is too small to be cached or is not a
+    file at all (its parse refuses it). Safe to call on any thread; the
+    file is hashed at most once per cache."""
     if not path.is_file():
-        raise DatasetError(f"{what}: file not found: {path}")
+        return None, None
     stat = path.stat()
     if stat.st_size < 2 * _MIN_RANGE_BYTES:
         return None, None
@@ -518,7 +515,8 @@ def _cache_lookup(path: Path, what: str) -> tuple[np.ndarray | None, _ParseCache
 
 def _parse_csv(path: Path, what: str) -> np.ndarray:
     """Parse ``path`` as ``np.loadtxt(delimiter=",", ndmin=2, dtype=float)``;
-    it reads the text every time, and the parse cache is the caller's.
+    it reads the text every time, and the parse cache is the caller's. A
+    path that is not a file is refused here as "<what>: file not found".
 
     A large file is parsed by forked children, one line-aligned byte range
     each; if that path does not apply or fails anywhere, the whole file is
@@ -528,6 +526,8 @@ def _parse_csv(path: Path, what: str) -> np.ndarray:
     these parse rules must change ``_PARSE_FORMAT``, or old cache entries
     keep being served.
     """
+    if not path.is_file():
+        raise DatasetError(f"{what}: file not found: {path}")
     arr = _parse_in_ranges(path)
     if arr is None:
         try:
@@ -542,29 +542,21 @@ def _parse_csv(path: Path, what: str) -> np.ndarray:
 
 
 class _ParseCache:
-    """The cached parse of one CSV: ``<csv dir>/.mvncd_cache/<csv name>.<key>.npy``,
-    where the key is the SHA-256 of ``_PARSE_FORMAT``, numpy's version and
+    """The cached parse of one CSV, its entry: ``<csv dir>/.mvncd_cache/<csv
+    name>.npy``. The entry holds the parse as ``np.save`` writes it, then
+    its key, the 32-byte SHA-256 of ``_PARSE_FORMAT``, numpy's version and
     the file's bytes, so an entry does not go stale while the parse rules
-    stay those of its tag. The file keeps at most one entry. An entry is
-    read only if it is owned by the CSV's owner or by the reading user and
-    is writable by neither group nor others. Any OSError on the cache's
-    side leaves the caller with its own parse."""
+    stay those of its tag; ``np.load`` of an entry gives the parse. An
+    entry is read only if it is owned by the CSV's owner or by the reading
+    user and is writable by neither group nor others. Any OSError on the
+    cache's side leaves the caller with its own parse."""
 
     def __init__(self, path: Path, stat: os.stat_result):
         self.path = path
         self.dir = path.parent / _CACHE_DIR
+        self.entry = self.dir / f"{path.name}.npy"
         self.stat = stat
-        self.digest: str | None = None
-        self._is_entry = re.compile(re.escape(path.name) + r"\.[0-9a-f]{64}\.npy").fullmatch
-
-    def _entries(self) -> list[str]:
-        try:
-            return [name for name in os.listdir(self.dir) if self._is_entry(name)]
-        except OSError:
-            return []
-
-    def _entry(self) -> str:
-        return f"{self.path.name}.{self.digest}.npy"
+        self.digest: bytes | None = None
 
     def _trusted(self, entry: os.stat_result) -> bool:
         # an entry's values are not checked against the CSV, so whoever can
@@ -590,23 +582,27 @@ class _ParseCache:
                     h.update(view[:n])
         except OSError:
             return
-        self.digest = h.hexdigest()
+        self.digest = h.digest()
 
     def lookup(self) -> np.ndarray | None:
-        """The cached parse, or None. The file is hashed only when it has an
-        entry; an entry that is not trusted, cannot be read or is not a 2-d
-        C-order float64 array with a row is a miss."""
-        entries = self._entries()
-        if not entries:
-            return None
-        self.hash()
-        if self.digest is None or self._entry() not in entries:
-            return None
+        """The cached parse, or None. The file is hashed only when it has a
+        trusted entry. An entry that is absent, not trusted or unreadable,
+        whose last 32 bytes are not the key, whose array does not end where
+        the key begins, or whose array is not a 2-d C-order float64 array
+        with a row is a miss."""
         try:
-            with open(self.dir / self._entry(), "rb") as f:
-                if not self._trusted(os.fstat(f.fileno())):
+            with open(self.entry, "rb") as f:
+                entry_stat = os.fstat(f.fileno())
+                if not self._trusted(entry_stat):
                     return None
+                f.seek(-32, os.SEEK_END)
+                self.hash()
+                if f.read() != self.digest:
+                    return None
+                f.seek(0)
                 arr = np.load(f, allow_pickle=False)
+                if f.tell() != entry_stat.st_size - 32:
+                    return None
         except (OSError, ValueError, EOFError):
             return None
         if (isinstance(arr, np.ndarray) and arr.ndim == 2 and arr.dtype == np.float64
@@ -615,9 +611,10 @@ class _ParseCache:
         return None
 
     def store(self, arr: np.ndarray) -> None:
-        """Save ``arr``, the file's parse, as its entry and delete its other
-        entries; nothing is saved when the file's size or mtime is no longer
-        that of ``stat``, taken before the file was parsed and hashed."""
+        """Save ``arr``, the file's parse, and then its key as its entry, in
+        place of the entry there; nothing is saved when the file's size or
+        mtime is no longer that of ``stat``, taken before the file was
+        parsed and hashed."""
         self.hash()
         try:
             now = self.path.stat()
@@ -625,19 +622,16 @@ class _ParseCache:
                                        != (self.stat.st_size, self.stat.st_mtime_ns)):
                 return
             self.dir.mkdir(mode=0o755, exist_ok=True)
-            entry = self._entry()
-            tmp = self.dir / f".{entry}.{os.getpid()}.tmp"
+            tmp = self.dir / f".{self.entry.name}.{os.getpid()}.tmp"
             # O_EXCL: never write through a name someone else put there
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
             try:
                 with open(fd, "wb") as f:
                     np.save(f, arr)
-                os.replace(tmp, self.dir / entry)
+                    f.write(self.digest)
+                os.replace(tmp, self.entry)
             finally:
                 tmp.unlink(missing_ok=True)
-            for name in self._entries():
-                if name != entry:
-                    (self.dir / name).unlink(missing_ok=True)
         except OSError:
             pass
 

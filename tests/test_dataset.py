@@ -501,7 +501,7 @@ def test_cache_hit_loads_the_bits_of_the_parse(parse_paths, monkeypatch, mode):
     path = parse_paths / "forked"
     shutil.rmtree(path / dataset._CACHE_DIR, ignore_errors=True)
     missed = load_dataset(path, normalize=mode)
-    assert [name.split(".")[0] for name in _cache_names(path)] == ["view_0"]
+    assert _cache_names(path) == ["view_0.csv.npy"]
     parsed = []
     real = dataset._parse_in_ranges
 
@@ -724,6 +724,17 @@ def _cache_names(directory):
     return sorted(os.listdir(directory / dataset._CACHE_DIR))
 
 
+def _entry_of(csv):
+    return csv.parent / dataset._CACHE_DIR / f"{csv.name}.npy"
+
+
+def _saved(arr):
+    """The bytes ``np.save`` writes for ``arr``."""
+    buf = io.BytesIO()
+    np.save(buf, arr)
+    return buf.getvalue()
+
+
 @pytest.fixture(scope="module")
 def big_csv_bytes():
     """A CSV just over the 4 MiB from which a file is split and cached."""
@@ -769,7 +780,7 @@ def test_only_files_of_4_mib_or_more_are_cached(tmp_path, big_csv_bytes, below):
 
 def test_rewritten_csv_of_the_same_size_and_mtime_is_a_miss(big_csv):
     _parse(big_csv)
-    old = _cache_names(big_csv.parent)
+    old = _entry_of(big_csv).read_bytes()[-32:]
     stat = big_csv.stat()
     big_csv.write_bytes(b"".join(reversed(big_csv.read_bytes().splitlines(keepends=True))))
     os.utime(big_csv, ns=(stat.st_atime_ns, stat.st_mtime_ns))
@@ -777,30 +788,41 @@ def test_rewritten_csv_of_the_same_size_and_mtime_is_a_miss(big_csv):
         stat.st_size, stat.st_mtime_ns)
     got = _parse(big_csv)
     assert got.tobytes() == np.loadtxt(big_csv, delimiter=",", ndmin=2).tobytes()
-    new = _cache_names(big_csv.parent)
-    assert len(new) == 1 and new != old
+    assert _cache_names(big_csv.parent) == ["view.csv.npy"]
+    assert _entry_of(big_csv).read_bytes()[-32:] != old
+    assert np.load(_entry_of(big_csv)).tobytes() == got.tobytes()
 
 
-@pytest.mark.parametrize("damage", ["truncated", "float32", "fortran", "object", "no rows"])
+@pytest.mark.parametrize("damage", ["truncated", "key read as data", "float32", "fortran",
+                                    "object", "no rows", "wrong key"])
 def test_unreadable_entry_is_a_miss_and_is_replaced(big_csv, damage):
+    # every damaged array is followed by the right key, so the array checks
+    # decide the miss; "wrong key" is a sound entry of the file's old bytes
+    text = big_csv.read_bytes()
     want = _parse(big_csv)
-    [name] = _cache_names(big_csv.parent)
-    entry = big_csv.parent / dataset._CACHE_DIR / name
-    if damage == "truncated":
-        entry.write_bytes(entry.read_bytes()[:entry.stat().st_size // 2])
+    entry = _entry_of(big_csv)
+    key = entry.read_bytes()[-32:]
+    if damage == "wrong key":
+        big_csv.write_bytes(b"".join(reversed(text.splitlines(keepends=True))))
+        _parse(big_csv)
+        big_csv.write_bytes(text)
+        assert entry.read_bytes()[-32:] != key
     else:
-        bad = {"float32": lambda: want.astype(np.float32),
-               "fortran": lambda: np.asfortranarray(want),
-               "object": lambda: np.array([None, want], dtype=object),
-               "no rows": lambda: want[:0]}[damage]()
-        with open(entry, "wb") as f:
-            np.save(f, bad)
+        saved = _saved(want)
+        # "key read as data" is short by one key: an array read on to the
+        # end of the file would take the key for its last four values
+        bad = {"truncated": lambda: saved[:len(saved) // 2],
+               "key read as data": lambda: saved[:-32],
+               "float32": lambda: _saved(want.astype(np.float32)),
+               "fortran": lambda: _saved(np.asfortranarray(want)),
+               "object": lambda: _saved(np.array([None, want], dtype=object)),
+               "no rows": lambda: _saved(want[:0])}[damage]()
+        entry.write_bytes(bad + key)
     got = _parse(big_csv)
     assert got.dtype == np.float64 and got.flags.c_contiguous
     assert got.tobytes("A") == want.tobytes("A")
-    assert _cache_names(big_csv.parent) == [name]
-    replaced = np.load(entry)
-    assert replaced.flags.c_contiguous and replaced.tobytes("A") == want.tobytes("A")
+    assert _cache_names(big_csv.parent) == ["view.csv.npy"]
+    assert entry.read_bytes() == _saved(want) + key
 
 
 def test_cache_dir_that_is_a_file_leaves_a_normal_load(big_csv):
@@ -831,19 +853,24 @@ def test_csv_touched_during_the_parse_writes_no_entry(big_csv, monkeypatch):
 
 
 def test_entries_are_matched_by_exact_file_name(tmp_path, big_csv_bytes):
+    # the entry of view[0].csv is view[0].csv.npy; an empty one is a miss.
+    # Another CSV's entry, names that extend the CSV's name and an entry of
+    # the old <name>.<key>.npy form are neither read nor touched.
     path = tmp_path / "view[0].csv"
     path.write_bytes(big_csv_bytes)
     cache = tmp_path / dataset._CACHE_DIR
     cache.mkdir()
-    stale = "view[0].csv." + "0" * 64 + ".npy"
-    others = ["view0.csv." + "1" * 64 + ".npy", "xview[0].csv." + "2" * 64 + ".npy",
-              "view[0].csv." + "3" * 63 + ".npy", "view[0].csv.npy", "view[0].csv"]
-    for name in [stale, *others]:
-        (cache / name).write_bytes(b"")
+    others = ["view0.csv.npy", "xview[0].csv.npy", "view[0].csv.npy.npy",
+              "view[0].csv.1.npy", "view[0].csv." + "0" * 64 + ".npy", "view[0].csv"]
+    (cache / "view[0].csv.npy").write_bytes(b"")
+    for name in others:
+        (cache / name).write_bytes(name.encode())
     want = _parse(path)
-    new = set(_cache_names(tmp_path)) - set(others)
-    assert len(new) == 1 and stale not in new
-    assert np.load(cache / new.pop()).tobytes() == want.tobytes()
+    assert _cache_names(tmp_path) == sorted([*others, "view[0].csv.npy"])
+    for name in others:
+        assert (cache / name).read_bytes() == name.encode()
+    assert np.load(cache / "view[0].csv.npy").tobytes() == want.tobytes()
+    assert _parse(path).tobytes() == want.tobytes()
 
 
 @pytest.mark.skipif(not hasattr(os, "geteuid"), reason="POSIX owners and modes")
@@ -851,18 +878,20 @@ def test_entries_are_matched_by_exact_file_name(tmp_path, big_csv_bytes):
     (None, 0o644, True), (54321, 0o644, False), (None, 0o664, False), (None, 0o646, False)],
     ids=["own entry", "foreign owner", "group-writable", "world-writable"])
 def test_only_a_trusted_entry_is_served(big_csv, owner, mode, served):
+    # the forged entry carries the right key: only its owner and mode decide
     want = _parse(big_csv)
-    [name] = _cache_names(big_csv.parent)
-    entry = big_csv.parent / dataset._CACHE_DIR / name
+    entry = _entry_of(big_csv)
     forged = want + 1.0
-    with open(entry, "wb") as f:
-        np.save(f, forged)
+    entry.write_bytes(_saved(forged) + entry.read_bytes()[-32:])
     if owner is not None:
         os.chown(entry, owner, -1)
     os.chmod(entry, mode)
+    # an untrusted entry is refused before the CSV is hashed
+    cache = dataset._ParseCache(big_csv, big_csv.stat())
+    assert (cache.lookup() is not None, cache.digest is not None) == (served, served)
     got = _parse(big_csv)
     assert got.tobytes() == (forged if served else want).tobytes()
-    assert _cache_names(big_csv.parent) == [name]
+    assert _cache_names(big_csv.parent) == ["view.csv.npy"]
     assert np.load(entry).tobytes() == (forged if served else want).tobytes()
     if not served:
         assert entry.stat().st_uid == os.geteuid() and not entry.stat().st_mode & 0o022
@@ -870,20 +899,19 @@ def test_only_a_trusted_entry_is_served(big_csv, owner, mode, served):
 
 def test_parse_rules_are_part_of_the_key(big_csv, monkeypatch):
     want = _parse(big_csv)
-    [old] = _cache_names(big_csv.parent)
+    old = _entry_of(big_csv).read_bytes()[-32:]
     monkeypatch.setattr(dataset, "_PARSE_FORMAT", dataset._PARSE_FORMAT + " changed")
     assert _parse(big_csv).tobytes() == want.tobytes()
-    [new] = _cache_names(big_csv.parent)
-    assert new != old
+    assert _cache_names(big_csv.parent) == ["view.csv.npy"]
+    assert _entry_of(big_csv).read_bytes()[-32:] != old
 
 
 def test_store_never_writes_through_a_planted_temporary_name(big_csv):
     cache = dataset._ParseCache(big_csv, big_csv.stat())
-    cache.hash()
     victim = big_csv.parent / "victim.txt"
     victim.write_text("keep me\n")
     cache.dir.mkdir()
-    planted = cache.dir / f".{cache._entry()}.{os.getpid()}.tmp"
+    planted = cache.dir / f".{cache.entry.name}.{os.getpid()}.tmp"
     planted.symlink_to(victim)
     assert _parse(big_csv).tobytes() == np.loadtxt(big_csv, delimiter=",", ndmin=2).tobytes()
     assert victim.read_text() == "keep me\n"
@@ -976,7 +1004,7 @@ def test_refusal_names_the_lowest_bad_view(three_big_views, tmp_path, monkeypatc
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     monkeypatch.setattr(dataset, "_usable_cpus", lambda: 2)
     _threads_calling(monkeypatch, "_cache_lookup",
-                     lambda path, what: 0.2 if what == "view 0" else 0)
+                     lambda path: 0.2 if path.name == "view_0.csv" else 0)
     _threads_calling(monkeypatch, "_checked_view", lambda arr, i, n: 0.2 if i == 0 else 0)
     message = ("view 0: contains non-finite values" if fault == "non-finite"
                else "view 0: file has 64 feature columns, manifest declares 65")
@@ -991,6 +1019,27 @@ def test_refusal_names_the_lowest_bad_view(three_big_views, tmp_path, monkeypatc
             assert not (tmp_path / dataset._CACHE_DIR).exists()
             want = ["view_1"] if state == "miss" else want
         assert _entry_views(three_big_views) == want
+
+
+@pytest.mark.parametrize("state", ["miss", "hit"])
+def test_a_missing_view_file_is_refused_in_view_order(three_big_views, tmp_path,
+                                                      monkeypatch, state):
+    # view 1's CSV is missing: its lookup is a miss, and its parse refuses
+    # it after view 0 is read, so a wrong dim of view 0 is named first
+    manifest = json.loads((three_big_views / "manifest.json").read_text())
+    manifest["labels"] = str(three_big_views / manifest["labels"])
+    for entry in manifest["views"]:
+        entry["path"] = str(three_big_views / entry["path"])
+    manifest["views"][1]["path"] = str(tmp_path / "view_1.csv")
+    monkeypatch.setattr(dataset, "_usable_cpus", lambda: 2)
+    _cache_state(three_big_views, state)
+    for dim, message in [
+            (64, f"view 1: file not found: {tmp_path / 'view_1.csv'}"),
+            (65, "view 0: file has 64 feature columns, manifest declares 65")]:
+        manifest["views"][0]["dim"] = dim
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+            load_dataset(tmp_path, normalize="zscore")
 
 
 @pytest.mark.parametrize("mode", ["zscore", "l2"])
@@ -1054,19 +1103,19 @@ def test_threads_never_outnumber_the_cap(tmp_path, monkeypatch):
 
 def test_a_miss_hashes_its_file_once(big_csv, monkeypatch):
     # an entry of older bytes: the lookup hashes the file, and the new
-    # entry is stored under that same digest
+    # entry is stored with that same digest as its key
     (big_csv.parent / "labels.csv").write_text("0\n1\n" * 1700)
     (big_csv.parent / "manifest.json").write_text(json.dumps(
         {"views": [{"path": "view.csv", "dim": 64}], "labels": "labels.csv",
          "num_classes": 2}))
     want = load_dataset(big_csv.parent).views[0].data
-    [old] = _cache_names(big_csv.parent)
+    old = _entry_of(big_csv).read_bytes()[-32:]
     big_csv.write_bytes(big_csv.read_bytes() + big_csv.read_bytes().splitlines(True)[0])
     (big_csv.parent / "labels.csv").write_text("0\n1\n" * 1700 + "0\n")
     real, digests = hashlib.sha256, []
     monkeypatch.setattr(hashlib, "sha256", lambda *args: digests.append(1) or real(*args))
     got = load_dataset(big_csv.parent).views[0].data
     assert len(digests) == 1
-    [new] = _cache_names(big_csv.parent)
-    assert new != old
+    assert _cache_names(big_csv.parent) == ["view.csv.npy"]
+    assert _entry_of(big_csv).read_bytes()[-32:] != old
     assert got[:, :-1].tobytes() == want.tobytes()

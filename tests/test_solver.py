@@ -980,6 +980,53 @@ def test_fit_on_duplicate_unlabeled_points_warns_nothing():
         assert is_monotone(result.objective_trace)
 
 
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(k=st.integers(2, 5), extra_dims=st.lists(st.integers(-1, 6), min_size=1, max_size=3),
+       n=st.integers(4, 40), absent=st.integers(0, 2),
+       quirk=st.sampled_from(["none", "constant row", "near-duplicate view"]),
+       normalize=st.sampled_from(["zscore", "l2", "none"]),
+       init_y_novel=st.sampled_from(["kmeans", "random"]),
+       lambda1=st.sampled_from([0.0, 1.0, 100.0]), lambda2=st.sampled_from([0.0, 1.0, 100.0]),
+       hard_restrict_novel=st.booleans(), ablate_labeled=st.booleans(),
+       data_seed=st.integers(0, 2**32 - 1))
+def test_fit_is_refused_or_keeps_its_promises(k, extra_dims, n, absent, quirk, normalize,
+                                              init_y_novel, lambda1, lambda2,
+                                              hard_restrict_novel, ablate_labeled,
+                                              data_seed):
+    # small blobs with dims from k - 1 up, up to two classes with no sample,
+    # and a constant feature row or a view that nearly repeats view 0: every
+    # fit either refuses the data or keeps the README's promises
+    rng = np.random.default_rng(data_seed)
+    present = rng.permutation(k)[min(absent, k - 1):]
+    labels = rng.choice(present, size=n)
+    xs = []
+    for e in extra_dims:
+        centers = 3.0 * rng.standard_normal((k + e, k))
+        xs.append(centers[:, labels] + rng.standard_normal((k + e, n)))
+    if quirk == "constant row":
+        xs[0][0] = 2.5
+    elif quirk == "near-duplicate view":
+        xs = [*xs[:2], xs[0] + 1e-9 * rng.standard_normal(xs[0].shape)]
+    cfg = SolverConfig(lambda1=lambda1, lambda2=lambda2, max_iter=30,
+                       init_y_novel=init_y_novel, normalize=normalize,
+                       ablate_labeled=ablate_labeled,
+                       hard_restrict_novel=hard_restrict_novel)
+    try:
+        ds = make_dataset(xs, labels, k)
+        result = fit(ds, cfg)
+    except DatasetError:
+        return
+    assert np.all(np.isfinite(result.objective_trace))
+    assert is_monotone(result.objective_trace)
+    for alpha in result.alpha_trace:
+        assert np.all(alpha >= 0) and abs(alpha.sum() - 1.0) <= 1e-12
+    solver._prepare.cache_clear()
+    again = fit(ds, cfg)
+    assert again.objective_trace == result.objective_trace
+    assert np.array_equal(again.novel_assignment, result.novel_assignment)
+    assert all(np.array_equal(a, b) for a, b in zip(again.alpha_trace, result.alpha_trace))
+
+
 # --- invariant helpers ---
 
 def test_is_monotone_cases():
