@@ -248,16 +248,13 @@ def _normalized(ds: MultiViewDataset, mode: str, in_place: bool) -> MultiViewDat
     the same ufunc calls on the same layout and give the same bits."""
     if mode == "none" or mode == ds.normalization:
         return ds
-    views = [None] * ds.num_views
 
-    def normalize(i: int) -> None:
+    def normalize(i: int) -> ViewMatrix:
         data = ds.views[i].data
         out = data if in_place else np.empty_like(data)
-        views[i] = ViewMatrix(data=_normalize_view(data, out, mode, i))
-    for exc in _each_view(normalize, ds.num_views):
-        if exc is not None:
-            raise exc
-    return replace(ds, views=tuple(views), normalization=mode)
+        return ViewMatrix(data=_normalize_view(data, out, mode, i))
+    return replace(ds, views=tuple(_each_view(normalize, ds.num_views)),
+                   normalization=mode)
 
 
 def _normalize_view(data: np.ndarray, out: np.ndarray, mode: str, i: int) -> np.ndarray:
@@ -349,77 +346,59 @@ def load_dataset(path: str | Path, known_classes: Sequence[int] | None = None,
     stays behind; the result equals ``normalize_features(load_dataset(path),
     normalize)`` bit for bit.
 
-    Each view is one task on :func:`_each_view`'s threads: it looks its CSV
-    up in the parse cache and, on a hit, checks and normalizes the view.
-    The CSVs with no entry are parsed after every thread has ended, in the
-    calling thread and in view order, and are then checked and normalized
-    on the threads; a miss saves its cache entry there, once its view has
-    passed the checks and before it is normalized, so a view refused for
-    its ``dim``, rows or values leaves no entry. View CSVs are the only
-    files the cache serves. The refusal raised is the first of: every
-    view's read errors and ``dim`` mismatches, in view order; then each
-    view's row count, values and normalization, in view order.
+    The views load in three stages. :func:`_each_view` looks every CSV up
+    in the parse cache. Then, in the calling thread and in view order, each
+    CSV with no entry is parsed and each view's ``dim`` is checked; no
+    thread of the loader is alive by then, so a parse may fork. Last,
+    :func:`_each_view` checks each view's row count and values, saves a
+    miss's parse as its cache entry and normalizes the view in place, so a
+    view refused for its ``dim``, rows or values leaves no entry. View CSVs
+    are the only files the cache serves. The refusal raised is the first
+    of: every view's read errors and ``dim`` mismatches, in view order; then
+    each view's row count, values and normalization, in view order.
     """
     _check_mode(normalize)
     entries, split = read_manifest(path, known_classes)
     n = split["labels"].size
-    count = len(entries)
-    arrays: list[np.ndarray | None] = [None] * count   # d x n, once read
-    caches: list[_ParseCache | None] = [None] * count  # of the misses
-    views: list[ViewMatrix | None] = [None] * count
-
-    def read(i: int, arr: np.ndarray) -> None:
-        if arr.shape[1] != entries[i][1]:
-            raise DatasetError(f"view {i}: file has {arr.shape[1]} feature "
-                               f"columns, manifest declares {entries[i][1]}")
-        arrays[i] = arr.T
-
-    def finish(i: int) -> None:
-        data = _checked_view(arrays[i], i, n)
-        if caches[i]:   # a miss: its parse, before it is normalized in place
-            caches[i].store(data.T)
-        views[i] = ViewMatrix(data=_normalize_view(data, data, normalize, i))
-
-    def from_cache(i: int) -> None:
-        arr, cache = _cache_lookup(entries[i][0])
+    found = _each_view(lambda i: _cache_lookup(entries[i][0]), len(entries))
+    arrays = []   # d x n
+    for i, ((csv, dim), (arr, _)) in enumerate(zip(entries, found)):
         if arr is None:
-            caches[i] = cache
-        else:
-            read(i, arr)
-            finish(i)
+            arr = _parse_csv(csv, f"view {i}")
+        if arr.shape[1] != dim:
+            raise DatasetError(f"view {i}: file has {arr.shape[1]} feature "
+                               f"columns, manifest declares {dim}")
+        arrays.append(arr.T)
 
-    failed = _each_view(from_cache, count)
-    for i in range(count):
-        if arrays[i] is None:   # not read: a read error, or a miss to parse
-            if failed[i] is not None:
-                raise failed[i]
-            read(i, _parse_csv(entries[i][0], f"view {i}"))
-    missed = [i for i in range(count) if views[i] is None and failed[i] is None]
-    for i, exc in zip(missed, _each_view(lambda j: finish(missed[j]), len(missed))):
-        failed[i] = exc
-    for exc in failed:
-        if exc is not None:
-            raise exc
+    def finish(i: int) -> ViewMatrix:
+        data = _checked_view(arrays[i], i, n)
+        hit, cache = found[i]
+        if hit is None and cache:   # a miss: its parse, before it is normalized in place
+            cache.store(data.T)
+        return ViewMatrix(data=_normalize_view(data, data, normalize, i))
+    views = _each_view(finish, len(entries))
     return MultiViewDataset(views=tuple(views), normalization=normalize, **split)
 
 
-def _each_view(task: Callable[[int], None], count: int) -> list[BaseException | None]:
-    """Call ``task(i)`` for every view i in range(count), and return what
-    each call raised, or None, by view; nothing is raised here. The calls
-    run on up to one thread per view, at most ``_THREADS_PER_CPU`` per
-    usable CPU, the calling thread being one of them; thread t takes views
-    t, t + threads, ... in order. With one usable CPU or one view every
-    call runs in the calling thread. Every thread has ended on return."""
+def _each_view(task: Callable[[int], object], count: int) -> list:
+    """Call ``task(i)`` for every view i in range(count) and return the
+    results by view. The calls run on up to one thread per view, at most
+    ``_THREADS_PER_CPU`` per usable CPU, the calling thread being one of
+    them; thread t takes views t, t + threads, ... in order. With one usable
+    CPU or one view every call runs in the calling thread. Every thread has
+    ended on return, and only then is the lowest view's exception raised,
+    when a call raised one; the other calls have all run."""
     cpus = _usable_cpus()
     # on one CPU the threads would only take turns
     workers = max(1, min(count, _THREADS_PER_CPU * cpus if cpus > 1 else 1))
-    failed: list[BaseException | None] = [None] * count
+    results = [None] * count
+    failed: dict[int, BaseException] = {}
 
     def work(first: int) -> None:
         for i in range(first, count, workers):
             try:
-                task(i)
-            except BaseException as exc:  # the caller raises it in its own thread
+                results[i] = task(i)
+            except BaseException as exc:  # raised below, in the calling thread
                 failed[i] = exc
 
     threads = []
@@ -432,7 +411,9 @@ def _each_view(task: Callable[[int], None], count: int) -> list[BaseException | 
         for thread in threads:
             if thread.ident is not None:
                 thread.join()
-    return failed
+    if failed:
+        raise failed[min(failed)]
+    return results
 
 
 def read_manifest(path: str | Path, known_classes: Sequence[int] | None = None
@@ -587,9 +568,11 @@ class _ParseCache:
     def lookup(self) -> np.ndarray | None:
         """The cached parse, or None. The file is hashed only when it has a
         trusted entry. An entry that is absent, not trusted or unreadable,
-        whose last 32 bytes are not the key, whose array does not end where
-        the key begins, or whose array is not a 2-d C-order float64 array
-        with a row is a miss."""
+        whose last 32 bytes are not the key, or whose header does not claim
+        a 2-d C-order float64 array with a row that ends where the key
+        begins is a miss. The header is checked before the array is
+        allocated, so one that overstates the entry's size is a miss too."""
+        fmt = np.lib.format
         try:
             with open(self.entry, "rb") as f:
                 entry_stat = os.fstat(f.fileno())
@@ -600,15 +583,16 @@ class _ParseCache:
                 if f.read() != self.digest:
                     return None
                 f.seek(0)
-                arr = np.load(f, allow_pickle=False)
-                if f.tell() != entry_stat.st_size - 32:
+                v1 = fmt.read_magic(f) == (1, 0)
+                shape, fortran, dtype = (fmt.read_array_header_1_0 if v1
+                                         else fmt.read_array_header_2_0)(f)
+                if (len(shape) != 2 or fortran or dtype != np.float64 or shape[0] < 1
+                        or f.tell() + shape[0] * shape[1] * 8 != entry_stat.st_size - 32):
                     return None
+                arr = np.empty(shape)
+                return arr if f.readinto(arr) == arr.nbytes else None
         except (OSError, ValueError, EOFError):
             return None
-        if (isinstance(arr, np.ndarray) and arr.ndim == 2 and arr.dtype == np.float64
-                and arr.flags.c_contiguous and arr.shape[0] > 0):
-            return arr
-        return None
 
     def store(self, arr: np.ndarray) -> None:
         """Save ``arr``, the file's parse, and then its key as its entry, in

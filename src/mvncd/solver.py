@@ -162,6 +162,7 @@ class _Problem:
     label_counts: np.ndarray
     num_classes: int
     num_known: int
+    totals: list[float]        # ||X_v||_F^2 per view, for class_stats
 
 
 def _build_problem(ds: MultiViewDataset, normalize: str,
@@ -200,6 +201,7 @@ def _build_problem(ds: MultiViewDataset, normalize: str,
         label_counts=counts,
         num_classes=k,
         num_known=work.num_known,
+        totals=[float(np.einsum("ij,ij->", view.data, view.data)) for view in work.views],
     )
 
 
@@ -212,7 +214,7 @@ def _prepare(ds: MultiViewDataset, normalize: str, ablate_labeled: bool,
     identity) and a sweep prepares once. Callers never mutate the result."""
     prob = _build_problem(ds, normalize, ablate_labeled)
     y = _initial_assignment(prob, seed, init_y_novel)
-    return prob, y, class_stats(prob.xs, y, prob.num_classes)
+    return prob, y, class_stats(prob.xs, y, prob.num_classes, prob.totals)
 
 
 def _start(prob: _Problem, y: np.ndarray, stats: ClassStats) -> ModelState:
@@ -280,8 +282,11 @@ def _varies(x: np.ndarray) -> bool:
     return False
 
 
-def class_stats(xs: list[np.ndarray], y: np.ndarray, k: int) -> ClassStats:
-    """Class statistics of assignment ``y`` over the views ``xs``."""
+def class_stats(xs: list[np.ndarray], y: np.ndarray, k: int,
+                totals: list[float] | None = None) -> ClassStats:
+    """Class statistics of assignment ``y`` over the views ``xs``.
+    ``totals`` are the views' squared Frobenius norms T_v, which do not
+    depend on ``y``; they are computed here when not given."""
     ymat_t = encode_onehot(y, k).T
     counts = np.bincount(y, minlength=k).astype(float)
     shape = (len(xs), max(x.shape[0] for x in xs), k)
@@ -295,7 +300,7 @@ def class_stats(xs: list[np.ndarray], y: np.ndarray, k: int) -> ClassStats:
         np.divide(sums[v, rows], counts, out=means[v, rows], where=counts > 0)
         # W_v = T_v - sum_c S_c . mean_c, an empty row's mean being 0; the
         # blocked pass where that cancels or T_v overflows (under "none")
-        total = float(np.einsum("ij,ij->", x, x))
+        total = float(np.einsum("ij,ij->", x, x)) if totals is None else totals[v]
         scatter[v] = total - float(np.einsum("ij,ij->", sums[v], means[v]))
         if not _SCATTER_IDENTITY_MIN * total <= scatter[v] < math.inf:
             scatter[v] = _within_scatter(x, y, means[v, rows])
@@ -495,7 +500,7 @@ def objective_value(state: ModelState, ds: MultiViewDataset,
     restriction)."""
     prob = _build_problem(ds, cfg.normalize, cfg.ablate_labeled)
     return _objective(state, prob, cfg,
-                      class_stats(prob.xs, state.y, prob.num_classes))
+                      class_stats(prob.xs, state.y, prob.num_classes, prob.totals))
 
 
 def _objective(state: ModelState, prob: _Problem, cfg: SolverConfig,
@@ -563,7 +568,7 @@ def fit(ds: MultiViewDataset, cfg: SolverConfig) -> FitResult:
                             hard_restrict=cfg.hard_restrict_novel)
         moved = not np.array_equal(previous_y, state.y)
         if moved:
-            stats = class_stats(prob.xs, state.y, prob.num_classes)
+            stats = class_stats(prob.xs, state.y, prob.num_classes, prob.totals)
         if block_trace is not None:
             block_trace.append(_objective(state, prob, cfg, stats))
         residuals = compute_residuals(buffers, state.y, stats)

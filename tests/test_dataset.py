@@ -735,6 +735,14 @@ def _saved(arr):
     return buf.getvalue()
 
 
+def _overstated(arr, rows):
+    """``_saved(arr)`` with a header that claims ``rows`` rows."""
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(buf, {"descr": "<f8", "fortran_order": False,
+                                               "shape": (rows, arr.shape[1])})
+    return buf.getvalue() + arr.tobytes()
+
+
 @pytest.fixture(scope="module")
 def big_csv_bytes():
     """A CSV just over the 4 MiB from which a file is split and cached."""
@@ -794,7 +802,7 @@ def test_rewritten_csv_of_the_same_size_and_mtime_is_a_miss(big_csv):
 
 
 @pytest.mark.parametrize("damage", ["truncated", "key read as data", "float32", "fortran",
-                                    "object", "no rows", "wrong key"])
+                                    "object", "no rows", "overstated rows", "wrong key"])
 def test_unreadable_entry_is_a_miss_and_is_replaced(big_csv, damage):
     # every damaged array is followed by the right key, so the array checks
     # decide the miss; "wrong key" is a sound entry of the file's old bytes
@@ -810,13 +818,16 @@ def test_unreadable_entry_is_a_miss_and_is_replaced(big_csv, damage):
     else:
         saved = _saved(want)
         # "key read as data" is short by one key: an array read on to the
-        # end of the file would take the key for its last four values
+        # end of the file would take the key for its last four values.
+        # "overstated rows" claims 6 TB of rows, which np.load would try to
+        # allocate before it read a value
         bad = {"truncated": lambda: saved[:len(saved) // 2],
                "key read as data": lambda: saved[:-32],
                "float32": lambda: _saved(want.astype(np.float32)),
                "fortran": lambda: _saved(np.asfortranarray(want)),
                "object": lambda: _saved(np.array([None, want], dtype=object)),
-               "no rows": lambda: _saved(want[:0])}[damage]()
+               "no rows": lambda: _saved(want[:0]),
+               "overstated rows": lambda: _overstated(want, 12 * 10**9)}[damage]()
         entry.write_bytes(bad + key)
     got = _parse(big_csv)
     assert got.dtype == np.float64 and got.flags.c_contiguous
@@ -948,6 +959,16 @@ def _cache_state(path, state):
                 (cache / name).unlink()
 
 
+def _absolute_manifest(directory):
+    """The manifest of ``directory`` with every path made absolute, to be
+    edited and written to another directory."""
+    manifest = json.loads((directory / "manifest.json").read_text())
+    manifest["labels"] = str(directory / manifest["labels"])
+    for entry in manifest["views"]:
+        entry["path"] = str(directory / entry["path"])
+    return manifest
+
+
 def _threads_calling(monkeypatch, name, delay=None):
     """Record the thread of every call of ``dataset.<name>``, and the
     number of threads alive at it; ``delay(*args)`` seconds of sleep go
@@ -990,10 +1011,7 @@ def test_refusal_names_the_lowest_bad_view(three_big_views, tmp_path, monkeypatc
                                            fault):
     # views 0 and 2 are bad, and view 0's task is held back, so view 2
     # fails first in time; once with no entry, once with every entry
-    manifest = json.loads((three_big_views / "manifest.json").read_text())
-    manifest["labels"] = str(three_big_views / manifest["labels"])
-    for entry in manifest["views"]:
-        entry["path"] = str(three_big_views / entry["path"])
+    manifest = _absolute_manifest(three_big_views)
     for i in (0, 2):
         if fault == "dim":
             manifest["views"][i]["dim"] += 1
@@ -1026,10 +1044,7 @@ def test_a_missing_view_file_is_refused_in_view_order(three_big_views, tmp_path,
                                                       monkeypatch, state):
     # view 1's CSV is missing: its lookup is a miss, and its parse refuses
     # it after view 0 is read, so a wrong dim of view 0 is named first
-    manifest = json.loads((three_big_views / "manifest.json").read_text())
-    manifest["labels"] = str(three_big_views / manifest["labels"])
-    for entry in manifest["views"]:
-        entry["path"] = str(three_big_views / entry["path"])
+    manifest = _absolute_manifest(three_big_views)
     manifest["views"][1]["path"] = str(tmp_path / "view_1.csv")
     monkeypatch.setattr(dataset, "_usable_cpus", lambda: 2)
     _cache_state(three_big_views, state)
@@ -1040,6 +1055,28 @@ def test_a_missing_view_file_is_refused_in_view_order(three_big_views, tmp_path,
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
             load_dataset(tmp_path, normalize="zscore")
+
+
+@pytest.mark.parametrize("fault", ["view 1 missing", "view 2 dim"])
+def test_no_view_is_finished_before_every_view_is_read(three_big_views, tmp_path,
+                                                        monkeypatch, fault):
+    # every view has an entry; a read error or a dim mismatch in a later
+    # view is refused before any view is checked or normalized
+    manifest = _absolute_manifest(three_big_views)
+    if fault == "view 1 missing":
+        manifest["views"][1]["path"] = str(tmp_path / "view_1.csv")
+        message = f"view 1: file not found: {tmp_path / 'view_1.csv'}"
+    else:
+        manifest["views"][2]["dim"] = 65
+        message = "view 2: file has 64 feature columns, manifest declares 65"
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    monkeypatch.setattr(dataset, "_usable_cpus", lambda: 2)
+    _cache_state(three_big_views, "hit")
+    checked = _threads_calling(monkeypatch, "_checked_view")
+    normalized = _threads_calling(monkeypatch, "_normalize_view")
+    with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+        load_dataset(tmp_path, normalize="zscore")
+    assert checked == [] and normalized == []
 
 
 @pytest.mark.parametrize("mode", ["zscore", "l2"])

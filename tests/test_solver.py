@@ -390,6 +390,27 @@ def test_scatter_of_a_view_whose_squares_overflow_is_the_blocked_pass():
     assert np.isfinite(want) and stats.scatter[0] == want
 
 
+def test_fit_passes_the_squared_norms_summed_once(monkeypatch):
+    # _build_problem sums each view's T_v once; every class_stats call of
+    # fit gets them and gives the statistics computed without them, bit for bit
+    ds = _shuffled_blobs("F", seed=2)
+    prob = solver._build_problem(ds, "zscore", False)
+    assert prob.totals == [float(np.einsum("ij,ij->", x, x)) for x in prob.xs]
+    real, calls = solver.class_stats, []
+
+    def spy(xs, y, k, *totals):
+        calls.append(totals)
+        given, computed = real(xs, y, k, *totals), real(xs, y, k)
+        for field in ("counts", "sums", "means", "scatter", "z"):
+            assert getattr(given, field).tobytes() == getattr(computed, field).tobytes()
+        return given
+    monkeypatch.setattr(solver, "class_stats", spy)
+    solver._prepare.cache_clear()
+    result = fit(ds, SolverConfig(seed=0, init_y_novel="random"))
+    assert result.iterations > 1 and len(calls) > 1
+    assert all(totals == (prob.totals,) for totals in calls)
+
+
 # --- centroid update ---
 
 def test_centroids_class_mean_example():
