@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -23,6 +22,7 @@ from mvncd.dataset import (
     DatasetError,
     SyntheticSpec,
     _integer_lines,
+    _write_file,
     generate_synthetic,
     load_dataset,
     read_integers,
@@ -188,9 +188,9 @@ def cmd_run(args) -> int:
               "refusing to write a report", file=sys.stderr)
         return EXIT_INVARIANT
     out = Path(args.out)
-    _write_atomic(out / "report.json", json.dumps(report, indent=2) + "\n")
-    _write_atomic(out / "trace.csv", _trace_csv(result))
-    _write_atomic(out / "assignment.csv", _integer_lines(result.novel_assignment))
+    _write_file(out / "report.json", json.dumps(report, indent=2) + "\n")
+    _write_file(out / "trace.csv", _trace_csv(result))
+    _write_file(out / "assignment.csv", _integer_lines(result.novel_assignment))
     m = report["metrics"]
     print(f"acc={m['acc']:.4f} nmi={m['nmi']:.4f} purity={m['purity']:.4f} "
           f"iterations={report['iterations']} converged={report['converged']}")
@@ -240,7 +240,7 @@ def cmd_sweep(args) -> int:
                           else "error: non-monotone objective trace")
             if status == "ok":
                 name = f"run_l1_{t1}_l2_{t2}.json"
-                _write_atomic(out / name, json.dumps(report, indent=2) + "\n")
+                _write_file(out / name, json.dumps(report, indent=2) + "\n")
                 m = report["metrics"]
                 rows.append(f"{t1},{t2},{m['acc']:.12g},{m['nmi']:.12g},"
                             f"{m['purity']:.12g},{status}")
@@ -248,7 +248,7 @@ def cmd_sweep(args) -> int:
                 rows.append(f"{t1},{t2},,,,\"{status}\"")
                 print(f"cell lambda1={t1} lambda2={t2}: {status}",
                       file=sys.stderr)
-    _write_atomic(out / "summary.csv", "\n".join(rows) + "\n")
+    _write_file(out / "summary.csv", "\n".join(rows) + "\n")
     print(f"sweep of {len(rows) - 1} cells written to {out / 'summary.csv'}")
     return EXIT_OK
 
@@ -285,22 +285,6 @@ def cmd_eval(args) -> int:
         )
     print(json.dumps(_scores(pred, truth)))
     return EXIT_OK
-
-
-def _write_atomic(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` through a new file renamed over it. The
-    file is created with mode 0666, so it gets the umask's permissions."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.parent / f"{path.name}.tmp{os.urandom(8).hex()}"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 if __name__ == "__main__":

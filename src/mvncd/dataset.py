@@ -15,7 +15,7 @@ import threading
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import BinaryIO, Callable, Sequence
 
 import numpy as np
 
@@ -28,7 +28,7 @@ _MIN_RANGE_BYTES = 1 << 21
 # directory, so that later loads of the same bytes read no text.
 _CACHE_DIR = ".mvncd_cache"
 # Part of every cache key: the parse rules an entry was made under. Change
-# it whenever _parse_csv or _parse_in_ranges parse differently.
+# it whenever _loadtxt or _parse_in_ranges's range split parse differently.
 _PARSE_FORMAT = "mvncd parse 1: loadtxt delimiter=',' ndmin=2 dtype=float64, rows in file order"
 # Views are looked up, checked and normalized on up to this many threads
 # per usable CPU. The work releases the GIL (SHA-256, file reads, ufuncs),
@@ -184,7 +184,9 @@ def _checked_view(arr: np.ndarray, i: int, n: int) -> np.ndarray:
         raise DatasetError(f"view {i}: expected a 2-d matrix, got ndim={arr.ndim}")
     if arr.shape[1] != n:
         raise DatasetError(f"view {i}: has {arr.shape[1]} samples, labels have {n}")
-    if not np.all(np.isfinite(arr)):
+    # a block of columns at a time, so the mask stays small at any shape
+    step = max(1, _SQUARES_BYTES // (arr.itemsize * max(1, arr.shape[0])))
+    if not all(np.isfinite(arr[:, c:c + step]).all() for c in range(0, n, step)):
         raise DatasetError(f"view {i}: contains non-finite values")
     return arr
 
@@ -494,27 +496,30 @@ def _cache_lookup(path: Path) -> tuple[np.ndarray | None, _ParseCache | None]:
     return cache.lookup(), cache
 
 
+def _loadtxt(source) -> np.ndarray:
+    """Every CSV's parse rule; ``source`` is a path or a text file."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(source, delimiter=",", ndmin=2, dtype=float)
+
+
 def _parse_csv(path: Path, what: str) -> np.ndarray:
-    """Parse ``path`` as ``np.loadtxt(delimiter=",", ndmin=2, dtype=float)``;
-    it reads the text every time, and the parse cache is the caller's. A
-    path that is not a file is refused here as "<what>: file not found".
+    """Parse ``path`` under :func:`_loadtxt`'s rule; it reads the text every
+    time, and the parse cache is the caller's. A path that is not a file is
+    refused here as "<what>: file not found".
 
     A large file is parsed by forked children, one line-aligned byte range
     each; if that path does not apply or fails anywhere, the whole file is
     parsed in-process, so results and error messages are those of the
     serial parse either way. Call it only while no other thread of this
-    program runs: a fork copies the calling thread alone. Any change to
-    these parse rules must change ``_PARSE_FORMAT``, or old cache entries
-    keep being served.
+    program runs: a fork copies the calling thread alone.
     """
     if not path.is_file():
         raise DatasetError(f"{what}: file not found: {path}")
     arr = _parse_in_ranges(path)
     if arr is None:
         try:
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                arr = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+            arr = _loadtxt(path)
         except ValueError as exc:
             raise DatasetError(f"{what}: could not parse {path}: {exc}") from exc
     if arr.shape[0] == 0:
@@ -595,10 +600,10 @@ class _ParseCache:
             return None
 
     def store(self, arr: np.ndarray) -> None:
-        """Save ``arr``, the file's parse, and then its key as its entry, in
-        place of the entry there; nothing is saved when the file's size or
-        mtime is no longer that of ``stat``, taken before the file was
-        parsed and hashed."""
+        """Save ``arr``, the file's parse, and then its key as its entry in
+        place of the one there, with mode 0644 to pass the trust check; no
+        entry is saved on an OSError or when the file's size or mtime is no
+        longer that of ``stat``, taken before it was parsed and hashed."""
         self.hash()
         try:
             now = self.path.stat()
@@ -606,16 +611,7 @@ class _ParseCache:
                                        != (self.stat.st_size, self.stat.st_mtime_ns)):
                 return
             self.dir.mkdir(mode=0o755, exist_ok=True)
-            tmp = self.dir / f".{self.entry.name}.{os.getpid()}.tmp"
-            # O_EXCL: never write through a name someone else put there
-            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
-            try:
-                with open(fd, "wb") as f:
-                    np.save(f, arr)
-                    f.write(self.digest)
-                os.replace(tmp, self.entry)
-            finally:
-                tmp.unlink(missing_ok=True)
+            _write_file(self.entry, lambda f: (np.save(f, arr), f.write(self.digest)), 0o644)
         except OSError:
             pass
 
@@ -708,11 +704,11 @@ def _parse_range_child(path: Path, start: int, stop: int, fd: int,
     try:
         for r in read_ends:
             os.close(r)
-        warnings.simplefilter("ignore")  # an empty range is reported by shape
+        warnings.simplefilter("ignore")  # a child reports by its exit status
         with open(path, "rb") as f:
             f.seek(start)
             text = io.TextIOWrapper(io.BytesIO(f.read(stop - start)))
-        arr = np.loadtxt(text, delimiter=",", ndmin=2, dtype=float)
+        arr = _loadtxt(text)   # an empty range is reported by its shape
         with open(fd, "wb") as pipe:
             pipe.write(np.array(arr.shape, dtype=np.int64).tobytes())
             pipe.write(arr.data)
@@ -725,23 +721,42 @@ def write_dataset(ds: MultiViewDataset, directory: str | Path) -> Path:
     """Write manifest + CSVs for ``ds``; returns the manifest path.
 
     Uses %.17g so a write/load round trip reproduces matrices bit for bit.
+    Each file, the manifest last, replaces its namesake whole or not at all.
     """
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     entries = []
     for i, view in enumerate(ds.views):
         name = f"view_{i}.csv"
-        np.savetxt(directory / name, view.data.T, fmt="%.17g", delimiter=",")
+        _write_file(directory / name,
+                    lambda f: np.savetxt(f, view.data.T, fmt="%.17g", delimiter=","))
         entries.append({"path": name, "dim": view.dim})
-    (directory / "labels.csv").write_text(_integer_lines(ds.labels))
+    _write_file(directory / "labels.csv", _integer_lines(ds.labels))
     manifest = {
         "views": entries,
         "labels": "labels.csv",
         "num_classes": ds.num_classes,
     }
     manifest_path = directory / MANIFEST_NAME
-    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+    _write_file(manifest_path, json.dumps(manifest, indent=2) + "\n")
     return manifest_path
+
+
+def _write_file(path: Path, content: str | Callable[[BinaryIO], object],
+                mode: int = 0o666) -> None:
+    """Write ``content`` (a text, or a function that writes to a binary
+    file) to a new hidden file of ``mode`` less the umask and rename it over
+    ``path``, or remove it on any failure. O_EXCL: a name that someone else
+    put there is never written through."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode)
+    try:
+        with open(fd, "wb") as f:
+            content(f) if callable(content) else f.write(content.encode())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _integer_lines(values: np.ndarray) -> str:

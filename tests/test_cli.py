@@ -295,6 +295,38 @@ def test_outputs_take_their_mode_from_the_umask(tmp_path, umask):
         assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, path.name
 
 
+def test_run_never_writes_through_a_planted_temporary_name(tmp_path, monkeypatch):
+    # the random part of the name is fixed, so the symlink sits at exactly
+    # the temporary name that report.json is written to
+    monkeypatch.setattr(os, "urandom", lambda n: b"\x5a" * n)
+    victim = tmp_path / "victim.txt"
+    victim.write_text("keep me\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    planted = out / f".report.json.{'5a' * 8}.tmp"
+    planted.symlink_to(victim)
+    code, stdout, stderr = run_fixture(out)
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: [Errno 17] File exists: '{planted}'\n"
+    assert victim.read_text() == "keep me\n"
+    assert os.listdir(out) == [planted.name]
+
+
+@pytest.mark.parametrize("command, blocked, written", [
+    ("run", "trace.csv", ["report.json"]),
+    ("sweep", "summary.csv", ["run_l1_1_l2_1.json"])])
+def test_a_refused_write_leaves_no_temporary_file(tmp_path, command, blocked, written):
+    # a directory stands where an output file goes, so its rename fails
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    grids = ["--lambda1-grid", "1", "--lambda2-grid", "1"] if command == "sweep" else []
+    code, _, stderr = run_cli([command, "--data", str(FIXTURE_DIR), "--out", str(out),
+                               *grids])
+    assert code == 2 and stderr.startswith("error: ")
+    assert sorted(os.listdir(out)) == sorted([blocked, *written])
+    assert os.listdir(out / blocked) == []
+
+
 def test_run_peak_memory_stays_near_one_copy_of_the_views(tmp_path):
     # A fresh interpreter reads its peak RSS after the imports and after a
     # run on 6,000 samples of 3 x 100 features (three CSVs of about 12 MB,

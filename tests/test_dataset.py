@@ -75,6 +75,19 @@ def test_make_dataset_rejects_bad_inputs():
         make_dataset([x], labels, 4, known_classes=[7])
 
 
+@pytest.mark.parametrize("col", [None, 0, 8191, 19_999])
+def test_finiteness_is_checked_a_block_of_columns_at_a_time(col):
+    # the mask of the whole 100 x 20,000 view would be 2 MB; a NaN is found
+    # in the first, a middle and the last column alike
+    x = np.asfortranarray(np.random.default_rng(0).standard_normal((100, 20_000)))
+    if col is None:
+        assert traced_peak(dataset._checked_view, x, 0, 20_000) < 512 << 10
+    else:
+        x[37, col] = np.nan
+        with pytest.raises(DatasetError, match="^view 0: contains non-finite values$"):
+            dataset._checked_view(x, 0, 20_000)
+
+
 @pytest.mark.parametrize("labels, shown", [
     ([0, 1, 2, 1e300], "[0, 1e+300]"),
     ([-1e300, 1, 2, 3], "[-1e+300, 3]"),
@@ -374,6 +387,31 @@ def test_write_load_round_trip(tmp_path):
     # manifest path works the same as the directory
     again = load_dataset(manifest)
     assert np.array_equal(again.labels, ds.labels)
+
+
+def test_a_failed_write_dataset_leaves_each_file_whole(tmp_path, monkeypatch):
+    # view 1 fails part-way: view 0 has already been replaced whole, and
+    # view 1, the labels and the manifest keep their old bytes
+    old, new, ds = tmp_path / "old", tmp_path / "new", _tiny(seed=1)
+    write_dataset(_tiny(seed=0), old)
+    write_dataset(ds, new)
+    before = {p.name: p.read_bytes() for p in old.iterdir()}
+    savetxt, calls = np.savetxt, []
+
+    def failing(fname, X, *args, **kwargs):
+        calls.append(X)
+        if len(calls) == 2:
+            savetxt(fname, X[:1], *args, **kwargs)
+            raise OSError(28, "No space left on device")
+        savetxt(fname, X, *args, **kwargs)
+    monkeypatch.setattr(np, "savetxt", failing)
+    with pytest.raises(OSError, match="No space left on device"):
+        write_dataset(ds, old)
+    assert sorted(os.listdir(old)) == sorted(before)
+    assert (old / "view_0.csv").read_bytes() == (new / "view_0.csv").read_bytes()
+    for name, content in before.items():
+        if name != "view_0.csv":
+            assert (old / name).read_bytes() == content, name
 
 
 def test_manifest_schema(tmp_path):
@@ -917,12 +955,15 @@ def test_parse_rules_are_part_of_the_key(big_csv, monkeypatch):
     assert _entry_of(big_csv).read_bytes()[-32:] != old
 
 
-def test_store_never_writes_through_a_planted_temporary_name(big_csv):
+def test_store_never_writes_through_a_planted_temporary_name(big_csv, monkeypatch):
+    # the random part of the name is fixed, so the symlink sits at exactly
+    # the temporary name that the store opens
+    monkeypatch.setattr(os, "urandom", lambda n: b"\x5a" * n)
     cache = dataset._ParseCache(big_csv, big_csv.stat())
     victim = big_csv.parent / "victim.txt"
     victim.write_text("keep me\n")
     cache.dir.mkdir()
-    planted = cache.dir / f".{cache.entry.name}.{os.getpid()}.tmp"
+    planted = cache.dir / f".{cache.entry.name}.{'5a' * 8}.tmp"
     planted.symlink_to(victim)
     assert _parse(big_csv).tobytes() == np.loadtxt(big_csv, delimiter=",", ndmin=2).tobytes()
     assert victim.read_text() == "keep me\n"
