@@ -22,7 +22,7 @@ from mvncd.dataset import (
     DatasetError,
     SyntheticSpec,
     _integer_lines,
-    _write_file,
+    _write_files,
     generate_synthetic,
     load_dataset,
     read_integers,
@@ -32,7 +32,7 @@ from mvncd.dataset import (
 from mvncd.metrics import clustering_accuracy, nmi, purity
 from mvncd.solver import INIT_MODES, FitResult, SolverConfig, fit, is_monotone
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INVARIANT = 3
@@ -188,9 +188,9 @@ def cmd_run(args) -> int:
               "refusing to write a report", file=sys.stderr)
         return EXIT_INVARIANT
     out = Path(args.out)
-    _write_file(out / "report.json", json.dumps(report, indent=2) + "\n")
-    _write_file(out / "trace.csv", _trace_csv(result))
-    _write_file(out / "assignment.csv", _integer_lines(result.novel_assignment))
+    _write_files([(out / "trace.csv", _trace_csv(result)),
+                  (out / "assignment.csv", _integer_lines(result.novel_assignment)),
+                  (out / "report.json", json.dumps(report, indent=2) + "\n")])
     m = report["metrics"]
     print(f"acc={m['acc']:.4f} nmi={m['nmi']:.4f} purity={m['purity']:.4f} "
           f"iterations={report['iterations']} converged={report['converged']}")
@@ -240,7 +240,7 @@ def cmd_sweep(args) -> int:
                           else "error: non-monotone objective trace")
             if status == "ok":
                 name = f"run_l1_{t1}_l2_{t2}.json"
-                _write_file(out / name, json.dumps(report, indent=2) + "\n")
+                _write_files([(out / name, json.dumps(report, indent=2) + "\n")])
                 m = report["metrics"]
                 rows.append(f"{t1},{t2},{m['acc']:.12g},{m['nmi']:.12g},"
                             f"{m['purity']:.12g},{status}")
@@ -248,7 +248,7 @@ def cmd_sweep(args) -> int:
                 rows.append(f"{t1},{t2},,,,\"{status}\"")
                 print(f"cell lambda1={t1} lambda2={t2}: {status}",
                       file=sys.stderr)
-    _write_file(out / "summary.csv", "\n".join(rows) + "\n")
+    _write_files([(out / "summary.csv", "\n".join(rows) + "\n")])
     print(f"sweep of {len(rows) - 1} cells written to {out / 'summary.csv'}")
     return EXIT_OK
 

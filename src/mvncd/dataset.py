@@ -35,9 +35,10 @@ _PARSE_FORMAT = "mvncd parse 1: loadtxt delimiter=',' ndmin=2 dtype=float64, row
 # and more threads than CPUs share the CPUs evenly: three views on two
 # threads would leave one thread two views to do.
 _THREADS_PER_CPU = 2
-# The squares that normalization sums are formed this many bytes at a
-# time, per view, so the views normalized at once hold about 1 MiB.
-_SQUARES_BYTES = 1 << 18
+# Every blocked pass over a view's columns, and the cache's hash of a CSV,
+# takes about this many bytes at a time: the views checked, normalized or
+# hashed at once on the loader's threads hold about 1 MiB of blocks.
+_BLOCK_BYTES = 1 << 18
 # What os.fork warns from Python 3.12 on in a process with more than one
 # OS thread; numpy's BLAS pool makes every process here such a process.
 _FORK_WARNING = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) may lead to deadlocks"
@@ -185,10 +186,16 @@ def _checked_view(arr: np.ndarray, i: int, n: int) -> np.ndarray:
     if arr.shape[1] != n:
         raise DatasetError(f"view {i}: has {arr.shape[1]} samples, labels have {n}")
     # a block of columns at a time, so the mask stays small at any shape
-    step = max(1, _SQUARES_BYTES // (arr.itemsize * max(1, arr.shape[0])))
-    if not all(np.isfinite(arr[:, c:c + step]).all() for c in range(0, n, step)):
+    if not all(np.isfinite(arr[:, cols]).all() for cols in _column_blocks(arr)):
         raise DatasetError(f"view {i}: contains non-finite values")
     return arr
+
+
+def _column_blocks(x: np.ndarray) -> list[slice]:
+    """Slices that cut the columns of ``x`` into consecutive blocks of about
+    ``_BLOCK_BYTES`` each, one column at least."""
+    step = max(1, _BLOCK_BYTES // (x.itemsize * max(1, x.shape[0])))
+    return [slice(c, min(c + step, x.shape[1])) for c in range(0, x.shape[1], step)]
 
 
 def _integer_labels(labels: np.ndarray, k: int) -> np.ndarray:
@@ -291,7 +298,7 @@ def _normalize_view(data: np.ndarray, out: np.ndarray, mode: str, i: int) -> np.
 def _sums_of_squares(x: np.ndarray, axis: int) -> np.ndarray:
     """The sums of squares of ``x`` along ``axis`` (kept as a length-1
     axis), summed as np.std sums its centred copy and np.linalg.norm its
-    squares, squaring about ``_SQUARES_BYTES`` at a time.
+    squares, squaring about ``_BLOCK_BYTES`` at a time.
 
     numpy sums a contiguous line pairwise, and the lines of a whole array
     across their stride one element at a time, in order. Lines that run
@@ -302,15 +309,15 @@ def _sums_of_squares(x: np.ndarray, axis: int) -> np.ndarray:
     numpy sums a lone strided line pairwise."""
     other = 1 - axis
     if x.strides[other] == x.itemsize != x.strides[axis] and x.shape[other] > 1:
-        cols = x if axis == 1 else x.T   # F-contiguous, a line per row
-        step = max(1, _SQUARES_BYTES // (x.itemsize * cols.shape[0]) - 1)
-        buf = np.zeros((cols.shape[0], step + 1), dtype=x.dtype, order="F")
-        for start in range(0, cols.shape[1], step):
-            part = cols[:, start:start + step]
+        cols = x if axis == 1 else x.T   # F-contiguous, a line per row, not empty
+        blocks = _column_blocks(cols)
+        buf = np.zeros((cols.shape[0], 1 + blocks[0].stop), dtype=x.dtype, order="F")
+        for block in blocks:
+            part = cols[:, block]
             np.square(part, out=buf[:, 1:1 + part.shape[1]])
             buf[:, 0] = buf[:, :1 + part.shape[1]].sum(axis=1)
         return np.expand_dims(buf[:, 0], axis)
-    blocks = max(1, min(x.shape[other] // 2, x.nbytes // _SQUARES_BYTES))
+    blocks = max(1, min(x.shape[other] // 2, x.nbytes // _BLOCK_BYTES))
     return np.concatenate([np.square(part).sum(axis=axis, keepdims=True)
                            for part in np.array_split(x, blocks, axis=other)],
                           axis=other)
@@ -553,14 +560,14 @@ class _ParseCache:
                 and not entry.st_mode & 0o022)
 
     def hash(self) -> None:
-        """Set ``digest``, once, from the file read 1 MiB at a time: a whole
-        read or an mmap would count toward the peak RSS. It stays None if
-        the file cannot be read."""
+        """Set ``digest``, once, from the file read ``_BLOCK_BYTES`` at a
+        time: a whole read or an mmap would count toward the peak RSS. It
+        stays None if the file cannot be read."""
         if self.digest is not None:
             return
         import hashlib  # 5.8 ms to import, which `import mvncd.cli` does not pay
         h = hashlib.sha256(f"{_PARSE_FORMAT}; numpy {np.__version__}".encode())
-        block = bytearray(1 << 20)
+        block = bytearray(_BLOCK_BYTES)
         view = memoryview(block)
         try:
             with open(self.path, "rb", buffering=0) as f:
@@ -611,7 +618,8 @@ class _ParseCache:
                                        != (self.stat.st_size, self.stat.st_mtime_ns)):
                 return
             self.dir.mkdir(mode=0o755, exist_ok=True)
-            _write_file(self.entry, lambda f: (np.save(f, arr), f.write(self.digest)), 0o644)
+            _write_files([(self.entry, lambda f: (np.save(f, arr), f.write(self.digest)))],
+                         0o644)
         except OSError:
             pass
 
@@ -721,41 +729,45 @@ def write_dataset(ds: MultiViewDataset, directory: str | Path) -> Path:
     """Write manifest + CSVs for ``ds``; returns the manifest path.
 
     Uses %.17g so a write/load round trip reproduces matrices bit for bit.
-    Each file, the manifest last, replaces its namesake whole or not at all.
+    Every file is written before any replaces its namesake, the manifest
+    last, so a write that fails leaves the old dataset as it was.
     """
     directory = Path(directory)
-    entries = []
-    for i, view in enumerate(ds.views):
-        name = f"view_{i}.csv"
-        _write_file(directory / name,
-                    lambda f: np.savetxt(f, view.data.T, fmt="%.17g", delimiter=","))
-        entries.append({"path": name, "dim": view.dim})
-    _write_file(directory / "labels.csv", _integer_lines(ds.labels))
-    manifest = {
-        "views": entries,
-        "labels": "labels.csv",
-        "num_classes": ds.num_classes,
-    }
+    views = [(directory / f"view_{i}.csv",
+              lambda f, x=view.data: np.savetxt(f, x.T, fmt="%.17g", delimiter=","))
+             for i, view in enumerate(ds.views)]
+    manifest = {"views": [{"path": path.name, "dim": view.dim}
+                          for (path, _), view in zip(views, ds.views)],
+                "labels": "labels.csv", "num_classes": ds.num_classes}
     manifest_path = directory / MANIFEST_NAME
-    _write_file(manifest_path, json.dumps(manifest, indent=2) + "\n")
+    _write_files([*views, (directory / "labels.csv", _integer_lines(ds.labels)),
+                  (manifest_path, json.dumps(manifest, indent=2) + "\n")])
     return manifest_path
 
 
-def _write_file(path: Path, content: str | Callable[[BinaryIO], object],
-                mode: int = 0o666) -> None:
-    """Write ``content`` (a text, or a function that writes to a binary
-    file) to a new hidden file of ``mode`` less the umask and rename it over
-    ``path``, or remove it on any failure. O_EXCL: a name that someone else
-    put there is never written through."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode)
+def _write_files(files: Sequence[tuple[Path, str | Callable[[BinaryIO], object]]],
+                 mode: int = 0o666) -> None:
+    """Write each content (a text, or a function that writes to a binary
+    file) to a new hidden file of ``mode`` less the umask beside its path,
+    then rename them over their paths in order; on any failure remove the
+    hidden files not yet renamed. No path is replaced before every content
+    is written. O_EXCL: a name that someone else put there is never written
+    through."""
+    pending: list[tuple[Path, Path]] = []
     try:
-        with open(fd, "wb") as f:
-            content(f) if callable(content) else f.write(content.encode())
-        os.replace(tmp, path)
+        for path, content in files:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode)
+            pending.append((tmp, path))
+            with open(fd, "wb") as f:
+                content(f) if callable(content) else f.write(content.encode())
+        while pending:
+            os.replace(*pending[0])
+            del pending[0]
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp, _ in pending:
+            tmp.unlink(missing_ok=True)
         raise
 
 

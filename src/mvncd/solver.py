@@ -23,6 +23,7 @@ from mvncd.dataset import (
     NORMALIZATIONS,
     DatasetError,
     MultiViewDataset,
+    _column_blocks,
     _normalized,
     encode_onehot,
     normalize_features,
@@ -56,7 +57,8 @@ class SolverConfig:
     ablate_alpha: bool = False
     ablate_labeled: bool = False
     hard_restrict_novel: bool = False
-    track_block_objective: bool = False
+    # not a field: perfbench/child.py reads it; it goes with ROADMAP item 2
+    track_block_objective = False
 
     def __post_init__(self) -> None:
         for name in ("lambda1", "lambda2", "tol"):
@@ -148,7 +150,6 @@ class FitResult:
     converged: bool
     wall_time: float
     state: ModelState
-    block_objective_trace: list[float] | None = None
 
 
 @dataclass(eq=False)
@@ -256,7 +257,6 @@ def _initial_assignment(prob: _Problem, seed: int, init_y_novel: str) -> np.ndar
     return y
 
 
-_BLOCK_COLUMNS = 1024     # samples per block of the column scans below
 _SPAN_TOL = 1e-12         # relative distance of the class sums from span(B_v)
 # W_v = T_v - sum_c ||S_c||^2 / n_c loses up to about 2e-15 * T_v / W_v of
 # W_v to cancellation. Measured against the blocked pass on z-scored synth
@@ -276,10 +276,7 @@ def _varies(x: np.ndarray) -> bool:
     decided at the first block that differs. ±0.0 compare equal, as their
     difference is 0."""
     first = x[:, :1]
-    for start in range(1, x.shape[1], _BLOCK_COLUMNS):
-        if (x[:, start:start + _BLOCK_COLUMNS] != first).any():
-            return True
-    return False
+    return any((x[:, cols] != first).any() for cols in _column_blocks(x))
 
 
 def class_stats(xs: list[np.ndarray], y: np.ndarray, k: int,
@@ -334,8 +331,7 @@ def _within_scatter(x: np.ndarray, y: np.ndarray, means: np.ndarray) -> float:
     d x n temporary exists: :func:`class_stats`'s fallback where its
     identity for the scatter cancels."""
     total = 0.0
-    for start in range(0, y.size, _BLOCK_COLUMNS):
-        cols = slice(start, start + _BLOCK_COLUMNS)
+    for cols in _column_blocks(x):
         diff = np.take(means, y[cols], axis=1)
         diff -= x[:, cols]
         total += float(np.einsum("ij,ij->", diff, diff))
@@ -546,19 +542,13 @@ def fit(ds: MultiViewDataset, cfg: SolverConfig) -> FitResult:
 
     trace = [_objective(state, prob, cfg, stats)]
     alphas = [state.view_weights.copy()]
-    block_trace: list[float] | None = [] if cfg.track_block_objective else None
     converged = False
     moved = False
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
         if moved:
             update_basis(state, prob.xs, stats)
-        if block_trace is not None:
-            block_trace.append(_objective(state, prob, cfg, stats))
-        if moved:
             update_centroids(state, prob.xs, stats)
-        if block_trace is not None:
-            block_trace.append(_objective(state, prob, cfg, stats))
         buffers = make_buffers(state, prob.xs, prob.label_counts, stats)
         previous_y = state.y.copy()
         update_labels_known(state, buffers, prob.labeled, prob.truth_rows,
@@ -569,13 +559,9 @@ def fit(ds: MultiViewDataset, cfg: SolverConfig) -> FitResult:
         moved = not np.array_equal(previous_y, state.y)
         if moved:
             stats = class_stats(prob.xs, state.y, prob.num_classes, prob.totals)
-        if block_trace is not None:
-            block_trace.append(_objective(state, prob, cfg, stats))
         residuals = compute_residuals(buffers, state.y, stats)
         update_view_weights(state, residuals, cfg.ablate_alpha)
         current = _objective(state, prob, cfg, stats, residuals)
-        if block_trace is not None:
-            block_trace.append(current)
         trace.append(current)
         alphas.append(state.view_weights.copy())
         previous = trace[-2]
@@ -591,7 +577,6 @@ def fit(ds: MultiViewDataset, cfg: SolverConfig) -> FitResult:
         converged=converged,
         wall_time=time.perf_counter() - start,
         state=state,
-        block_objective_trace=block_trace,
     )
 
 

@@ -19,6 +19,7 @@ from conftest import (
     FIXTURE_DIR,
     concat_kmeans_ncd,
     objective_lower_bound,
+    replay_fit,
     run_cli,
 )
 
@@ -72,7 +73,7 @@ def _novel_acc(ds, result):
 
 @functools.lru_cache(maxsize=1)
 def _property_runs():
-    """20 random instances fitted with per-block objective tracking."""
+    """20 random instances and their fits."""
     rng = np.random.default_rng(20260814)
     runs = []
     elapsed = 0.0
@@ -88,8 +89,7 @@ def _property_runs():
             seed=int(rng.integers(2**31))))
         cfg = SolverConfig(seed=int(rng.integers(2**31)), max_iter=12,
                            lambda1=float(rng.uniform(0.5, 2.0)),
-                           lambda2=float(rng.uniform(0.5, 2.0)),
-                           track_block_objective=True)
+                           lambda2=float(rng.uniform(0.5, 2.0)))
         start = time.perf_counter()
         result = fit(ds, cfg)
         elapsed += time.perf_counter() - start
@@ -126,7 +126,10 @@ def _moderate_results():
 def test_criterion_1_monotone_descent():
     runs, elapsed = _property_runs()
     for ds, cfg, result in runs:
-        per_block = [result.objective_trace[0], *result.block_objective_trace]
+        # the objective after every block, from a replay of fit that is
+        # first held to fit's own trace
+        replayed, per_block, _ = replay_fit(ds, cfg)
+        assert replayed.objective_trace == result.objective_trace
         assert is_monotone(per_block), "objective rose inside an iteration"
         assert is_monotone(result.objective_trace)
     assert elapsed < 60.0

@@ -313,10 +313,11 @@ def test_run_never_writes_through_a_planted_temporary_name(tmp_path, monkeypatch
 
 
 @pytest.mark.parametrize("command, blocked, written", [
-    ("run", "trace.csv", ["report.json"]),
+    ("run", "trace.csv", []),
     ("sweep", "summary.csv", ["run_l1_1_l2_1.json"])])
 def test_a_refused_write_leaves_no_temporary_file(tmp_path, command, blocked, written):
-    # a directory stands where an output file goes, so its rename fails
+    # a directory stands where an output file goes, so its rename fails;
+    # run writes its three outputs as one group, so it replaces none
     out = tmp_path / "out"
     (out / blocked).mkdir(parents=True)
     grids = ["--lambda1-grid", "1", "--lambda2-grid", "1"] if command == "sweep" else []

@@ -11,6 +11,7 @@ from conftest import (
     naive_objective,
     objective_lower_bound,
     random_dataset,
+    replay_fit,
     traced_peak,
     validate_state,
 )
@@ -104,6 +105,15 @@ def test_config_validation():
         SolverConfig(init_y_novel="pseudo")
     with pytest.raises(ValueError):
         SolverConfig(normalize="minmax")
+
+
+def test_config_has_no_block_objective_knob():
+    # per-block descent is checked by replay_fit in the tests, so fit keeps
+    # no knob for it; the class attribute is no field and no report key
+    assert len(dataclasses.fields(SolverConfig)) == 10
+    assert "track_block_objective" not in dataclasses.asdict(SolverConfig())
+    with pytest.raises(TypeError):
+        SolverConfig(track_block_objective=True)
 
 
 # --- initialization ---
@@ -390,6 +400,21 @@ def test_scatter_of_a_view_whose_squares_overflow_is_the_blocked_pass():
     assert np.isfinite(want) and stats.scatter[0] == want
 
 
+def test_column_scans_of_a_wide_view_hold_no_view_sized_temporary():
+    # far more features than samples, the paper's regime: the scatter's
+    # blocked pass and the constant-view check take about 256 KiB of
+    # columns at a time, where blocks of a fixed column count would each
+    # span this whole 19.2 MB view (and its 2.4 MB comparison mask)
+    rng = np.random.default_rng(0)
+    y = rng.integers(0, 4, size=600)
+    x = rng.standard_normal((4000, 600))
+    means = solver.class_stats([x], y, 4).means[0]
+    assert traced_peak(solver._within_scatter, x, y, means) < 1 << 20
+    x.fill(1.5)   # a constant view, so the check scans every column
+    assert traced_peak(solver._varies, x) < 1 << 20
+    assert not solver._varies(x)
+
+
 def test_fit_passes_the_squared_norms_summed_once(monkeypatch):
     # _build_problem sums each view's T_v once; every class_stats call of
     # fit gets them and gives the statistics computed without them, bit for bit
@@ -629,10 +654,10 @@ def test_fit_monotone_and_bounded():
     rng = np.random.default_rng(40)
     for _ in range(6):
         ds = random_dataset(rng, per_class=10)
-        cfg = SolverConfig(seed=int(rng.integers(2**31)), max_iter=15,
-                           track_block_objective=True)
+        cfg = SolverConfig(seed=int(rng.integers(2**31)), max_iter=15)
         result = fit(ds, cfg)
-        per_block = [result.objective_trace[0], *result.block_objective_trace]
+        replayed, per_block, _ = replay_fit(ds, cfg)
+        assert replayed.objective_trace == result.objective_trace
         assert is_monotone(per_block)
         assert is_monotone(result.objective_trace)
         bound = objective_lower_bound(ds, cfg)
@@ -862,52 +887,13 @@ def test_fit_leaves_the_prepared_state_untouched():
     _assert_same_fit(fit(ds_b, cfg), fresh_b)
 
 
-def _replay_fit(ds, cfg):
-    """fit's block order through the public functions only, the way an
-    outside caller (the benchmark's traced replay) runs it: normalize once,
-    then hand every function the normalized views and no class statistics.
-    Returns the result and the number of iterations whose label updates
-    moved y."""
-    work = normalize_features(ds, cfg.normalize)
-    raw = dataclasses.replace(cfg, normalize="none")
-    state = initialize(work, raw)
-    xs = [view.data for view in work.views]
-    labeled, unlabeled = work.labeled_indices, work.unlabeled_indices
-    truth_rows = work.class_rows()[work.labels[labeled]]
-    label_counts = np.bincount(truth_rows, minlength=work.num_classes).astype(float)
-    trace = [objective_value(state, work, raw)]
-    alphas = [state.view_weights.copy()]
-    moved = 0
-    for iterations in range(1, cfg.max_iter + 1):
-        update_basis(state, xs)
-        update_centroids(state, xs)
-        buffers = make_buffers(state, xs, label_counts)
-        before = state.y.copy()
-        update_labels_known(state, buffers, labeled, truth_rows, cfg.lambda1)
-        update_labels_novel(state, buffers, unlabeled, cfg.lambda2,
-                            num_known=work.num_known,
-                            hard_restrict=cfg.hard_restrict_novel)
-        moved += not np.array_equal(before, state.y)
-        update_view_weights(state, compute_residuals(buffers, state.y),
-                            cfg.ablate_alpha)
-        trace.append(objective_value(state, work, raw))
-        alphas.append(state.view_weights.copy())
-        if abs(trace[-2] - trace[-1]) / (abs(trace[-2]) + 1.0) < cfg.tol:
-            break
-    result = solver.FitResult(novel_assignment=state.y[unlabeled].copy(),
-                              objective_trace=trace, alpha_trace=alphas,
-                              iterations=iterations, converged=False,
-                              wall_time=0.0, state=state)
-    return result, moved
-
-
 def test_public_blocks_replay_fit_bit_for_bit_while_labels_move():
     # a random start, so the label updates move y over several iterations
     # and fit rebuilds its class statistics mid-fit
     for seed in (0, 1):
         ds = _overlapping_blobs(seed=5 + seed)
         cfg = SolverConfig(init_y_novel="random", seed=seed, max_iter=40)
-        replayed, moved = _replay_fit(ds, cfg)
+        replayed, _, moved = replay_fit(ds, cfg)
         assert moved >= 2
         _assert_same_fit(replayed, fit(ds, cfg))
 
