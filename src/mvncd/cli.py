@@ -29,7 +29,8 @@ from mvncd.dataset import (
     read_manifest,
     write_dataset,
 )
-from mvncd.metrics import clustering_accuracy, nmi, purity
+# perfbench/child.py --trace wraps the three names that the CLI no longer calls
+from mvncd.metrics import clustering_accuracy, nmi, purity, scores  # noqa: F401
 from mvncd.solver import INIT_MODES, FitResult, SolverConfig, fit, is_monotone
 
 SCHEMA_VERSION = 2
@@ -137,13 +138,14 @@ def _from_flags(cls, args):
                   if f.name in given})
 
 
-def _scores(pred: np.ndarray, truth: np.ndarray) -> dict:
-    return {"acc": clustering_accuracy(pred, truth), "nmi": nmi(pred, truth),
-            "purity": purity(pred, truth)}
-
-
-def _execute(ds, cfg) -> tuple[dict, FitResult]:
+def _execute(ds, cfg, memo: dict) -> tuple[dict, FitResult]:
+    """Fit and report. ``memo`` maps a novel assignment's bytes to its scores
+    on ``ds``, so a partition that several fits reach is scored once."""
     result = fit(ds, cfg)
+    key = result.novel_assignment.tobytes()
+    if key not in memo:
+        memo[key] = scores(result.novel_assignment,
+                           ds.labels[ds.unlabeled_indices])
     report = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": mvncd.__version__,
@@ -158,8 +160,7 @@ def _execute(ds, cfg) -> tuple[dict, FitResult]:
             "num_novel_classes": ds.num_novel,
         },
         "config": dataclasses.asdict(cfg),
-        "metrics": _scores(result.novel_assignment,
-                           ds.labels[ds.unlabeled_indices]),
+        "metrics": memo[key],
         "alpha": [float(a) for a in result.alpha_trace[-1]],
         "objective_trace": [float(x) for x in result.objective_trace],
         "iterations": result.iterations,
@@ -182,7 +183,7 @@ def _load_for_fit(args, cfg: SolverConfig):
 def cmd_run(args) -> int:
     cfg = _from_flags(SolverConfig, args)
     ds = _load_for_fit(args, cfg)
-    report, result = _execute(ds, cfg)
+    report, result = _execute(ds, cfg, {})
     if not is_monotone(result.objective_trace):
         print("error: objective trace is not monotonically non-increasing; "
               "refusing to write a report", file=sys.stderr)
@@ -227,6 +228,7 @@ def cmd_sweep(args) -> int:
     ds = _load_for_fit(args, base)
     out = Path(args.out)
     rows = ["lambda1,lambda2,acc,nmi,purity,status"]
+    files, memo = [], {}
     for l1 in args.lambda1_grid:
         for l2 in args.lambda2_grid:
             t1, t2 = _grid_text(l1), _grid_text(l2)
@@ -235,12 +237,12 @@ def cmd_sweep(args) -> int:
             except ValueError as exc:  # this cell's own lambdas: record it
                 status = f"error: {exc}"
             else:
-                report, result = _execute(ds, cfg)
+                report, result = _execute(ds, cfg, memo)
                 status = ("ok" if is_monotone(result.objective_trace)
                           else "error: non-monotone objective trace")
             if status == "ok":
-                name = f"run_l1_{t1}_l2_{t2}.json"
-                _write_files([(out / name, json.dumps(report, indent=2) + "\n")])
+                files.append((out / f"run_l1_{t1}_l2_{t2}.json",
+                              json.dumps(report, indent=2) + "\n"))
                 m = report["metrics"]
                 rows.append(f"{t1},{t2},{m['acc']:.12g},{m['nmi']:.12g},"
                             f"{m['purity']:.12g},{status}")
@@ -248,7 +250,8 @@ def cmd_sweep(args) -> int:
                 rows.append(f"{t1},{t2},,,,\"{status}\"")
                 print(f"cell lambda1={t1} lambda2={t2}: {status}",
                       file=sys.stderr)
-    _write_files([(out / "summary.csv", "\n".join(rows) + "\n")])
+    # one group, summary last: a sweep that raises leaves no file behind
+    _write_files([*files, (out / "summary.csv", "\n".join(rows) + "\n")])
     print(f"sweep of {len(rows) - 1} cells written to {out / 'summary.csv'}")
     return EXIT_OK
 
@@ -283,7 +286,7 @@ def cmd_eval(args) -> int:
             f"assignment: {pred.size} entries, but the dataset has "
             f"{truth.size} unlabeled samples"
         )
-    print(json.dumps(_scores(pred, truth)))
+    print(json.dumps(scores(pred, truth)))
     return EXIT_OK
 
 

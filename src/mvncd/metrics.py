@@ -83,15 +83,32 @@ def _assign_rows(cost: np.ndarray) -> np.ndarray:
 
 def clustering_accuracy(pred: np.ndarray, truth: np.ndarray) -> float:
     """Fraction of samples correct under the best cluster-to-class matching."""
-    counts = contingency_table(pred, truth)
-    rows, cols = hungarian_match(-counts.astype(float))
-    return float(counts[rows, cols].sum() / counts.sum())
+    return _accuracy(contingency_table(pred, truth))
 
 
 def nmi(pred: np.ndarray, truth: np.ndarray) -> float:
     """Mutual information (natural log) over the geometric mean of the two
     entropies; degenerate 0/0 cases (either side constant) return 0.0."""
+    return _nmi(contingency_table(pred, truth))
+
+
+def purity(pred: np.ndarray, truth: np.ndarray) -> float:
+    """Mean over samples of the majority-class fraction of their cluster."""
+    return _purity(contingency_table(pred, truth))
+
+
+def scores(pred: np.ndarray, truth: np.ndarray) -> dict:
+    """The three metrics above, keyed acc, nmi and purity, from one table."""
     counts = contingency_table(pred, truth)
+    return {"acc": _accuracy(counts), "nmi": _nmi(counts), "purity": _purity(counts)}
+
+
+def _accuracy(counts: np.ndarray) -> float:
+    rows, cols = hungarian_match(-counts.astype(float))
+    return float(counts[rows, cols].sum() / counts.sum())
+
+
+def _nmi(counts: np.ndarray) -> float:
     n = counts.sum()
     joint = counts / n
     # marginals from the integer counts, not from float row sums, so a
@@ -109,9 +126,7 @@ def nmi(pred: np.ndarray, truth: np.ndarray) -> float:
     return float(min(1.0, max(0.0, mi / denom)))
 
 
-def purity(pred: np.ndarray, truth: np.ndarray) -> float:
-    """Mean over samples of the majority-class fraction of their cluster."""
-    counts = contingency_table(pred, truth)
+def _purity(counts: np.ndarray) -> float:
     return float(counts.max(axis=1).sum() / counts.sum())
 
 

@@ -11,6 +11,7 @@ subproblem given the others, so the objective never increases.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 import time
@@ -209,34 +210,28 @@ def _build_problem(ds: MultiViewDataset, normalize: str,
 @functools.lru_cache(maxsize=1)
 def _prepare(ds: MultiViewDataset, normalize: str, ablate_labeled: bool,
              seed: int, init_y_novel: str
-             ) -> tuple[_Problem, np.ndarray, ClassStats]:
-    """The problem, initial assignment and its class statistics. None depends
-    on the lambdas, so the last is cached (it holds ``ds``, which hashes by
-    identity) and a sweep prepares once. Callers never mutate the result."""
+             ) -> tuple[_Problem, ModelState, ClassStats]:
+    """The problem, the start iterate and the class statistics of its
+    assignment. None depends on the lambdas, so the last is cached (it holds
+    ``ds``, which hashes by identity) and a sweep prepares once. Callers
+    never mutate the result; :func:`fit` and :func:`initialize` copy the
+    start. Each basis is the Q factor of its view's class sums S_v, so
+    basis @ centroids = S_v / (counts + RIDGE) minimizes both blocks
+    exactly."""
     prob = _build_problem(ds, normalize, ablate_labeled)
     y = _initial_assignment(prob, seed, init_y_novel)
-    return prob, y, class_stats(prob.xs, y, prob.num_classes, prob.totals)
-
-
-def _start(prob: _Problem, y: np.ndarray, stats: ClassStats) -> ModelState:
-    """A fresh iterate at ``y`` that shares no array with the arguments:
-    each basis is the Q factor of its view's class sums S_v, so basis @
-    centroids = S_v / (counts + RIDGE) minimizes both blocks exactly."""
-    num_views = len(prob.xs)
-    state = ModelState(
-        bases=_unpadded(stats.frames[0].copy(), prob.xs),
-        centroids=np.zeros_like(stats.frames[1]),
-        y=y.copy(),
-        view_weights=np.full(num_views, 1.0 / num_views),
-    )
-    update_centroids(state, prob.xs, stats)
-    return state
+    stats = class_stats(prob.xs, y, prob.num_classes, prob.totals)
+    start = ModelState(bases=_unpadded(stats.frames[0], prob.xs),
+                       centroids=None, y=y,
+                       view_weights=np.full(len(prob.xs), 1.0 / len(prob.xs)))
+    update_centroids(start, prob.xs, stats)
+    return prob, start, stats
 
 
 def initialize(ds: MultiViewDataset, cfg: SolverConfig) -> ModelState:
     """Build the starting iterate (the one :func:`fit` starts from)."""
-    return _start(*_prepare(ds, cfg.normalize, cfg.ablate_labeled,
-                            cfg.seed, cfg.init_y_novel))
+    return copy.deepcopy(_prepare(ds, cfg.normalize, cfg.ablate_labeled,
+                                  cfg.seed, cfg.init_y_novel)[1])
 
 
 def _initial_assignment(prob: _Problem, seed: int, init_y_novel: str) -> np.ndarray:
@@ -536,9 +531,9 @@ def fit(ds: MultiViewDataset, cfg: SolverConfig) -> FitResult:
     place, build a new dataset with ``make_dataset``.
     """
     start = time.perf_counter()
-    prob, y, stats = _prepare(ds, cfg.normalize, cfg.ablate_labeled,
-                              cfg.seed, cfg.init_y_novel)
-    state = _start(prob, y, stats)
+    prob, start_state, stats = _prepare(ds, cfg.normalize, cfg.ablate_labeled,
+                                        cfg.seed, cfg.init_y_novel)
+    state = copy.deepcopy(start_state)
 
     trace = [_objective(state, prob, cfg, stats)]
     alphas = [state.view_weights.copy()]

@@ -579,6 +579,76 @@ def test_sweep_single_cell_matches_run(tmp_path):
     assert cell["objective_trace"] == single["objective_trace"]
 
 
+# labels move from the random start in every cell, and the four cells end
+# at two partitions, each reached twice
+MOVING_FLAGS = ["--init-y", "random", "--tol", "0", "--max-iter", "5"]
+MOVING_GRID = ["--lambda1-grid", "0,1e5", "--lambda2-grid", "0,1e5"]
+
+
+def _overlapping_blobs(directory):
+    spec = SyntheticSpec(classes=4, per_class=20, dims=(6, 6), separation=2.0, seed=1)
+    write_dataset(generate_synthetic(spec), directory)
+    return directory
+
+
+def _sweep_equals_lone_runs(data, out):
+    """Sweep ``data`` over MOVING_GRID, run each cell alone, and check that
+    every cell report is the lone run's report.json and every summary row
+    holds its scores; returns the lone runs' reports by cell."""
+    code, _, _ = run_cli(["sweep", "--data", str(data), "--out", str(out / "sweep"),
+                          *MOVING_FLAGS, *MOVING_GRID])
+    assert code == 0
+    rows, reports = ["lambda1,lambda2,acc,nmi,purity,status"], {}
+    for l1, l2 in [("0", "0"), ("0", "100000"), ("100000", "0"), ("100000", "100000")]:
+        lone = out / f"run_{l1}_{l2}"
+        code, _, _ = run_cli(["run", "--data", str(data), "--out", str(lone),
+                              "--lambda1", l1, "--lambda2", l2, *MOVING_FLAGS])
+        assert code == 0
+        text = (lone / "report.json").read_text()
+        cell = (out / "sweep" / f"run_l1_{l1}_l2_{l2}.json").read_text()
+        assert strip_wall_time(cell) == strip_wall_time(text)
+        reports[l1, l2] = json.loads(text)
+        m = reports[l1, l2]["metrics"]
+        rows.append(f"{l1},{l2},{m['acc']:.12g},{m['nmi']:.12g},{m['purity']:.12g},ok")
+    assert (out / "sweep" / "summary.csv").read_text() == "\n".join(rows) + "\n"
+    return reports
+
+
+def test_every_sweep_cell_matches_a_lone_run(tmp_path):
+    data = _overlapping_blobs(tmp_path / "data")
+    reports = _sweep_equals_lone_runs(data, tmp_path)
+    # the labels move in every cell, and two cells share each partition
+    ds = load_dataset(data, normalize="zscore")
+    partitions = set()
+    for l1, l2 in reports:
+        cfg = SolverConfig(lambda1=float(l1), lambda2=float(l2),
+                           init_y_novel="random", tol=0.0, max_iter=5)
+        moved = solver.fit(ds, cfg).state.y
+        assert (moved != solver.initialize(ds, cfg).y).any()
+        partitions.add(moved[ds.unlabeled_indices].tobytes())
+    assert len(partitions) == 2
+
+
+def test_sweep_scores_each_dataset_on_its_own_truth(tmp_path):
+    # Two sweeps in one process, on twins whose novel truth differs in six
+    # samples. The fits never read that truth, so both sweeps reach the same
+    # assignments, byte for byte; the scores of one must not serve the other.
+    data = _overlapping_blobs(tmp_path / "data")
+    twin = tmp_path / "twin"
+    twin.mkdir()
+    for path in data.iterdir():
+        (twin / path.name).write_bytes(path.read_bytes())
+    labels = np.loadtxt(data / "labels.csv", dtype=int)
+    second, third = np.flatnonzero(labels == 2)[:3], np.flatnonzero(labels == 3)[:3]
+    labels[second], labels[third] = 3, 2
+    (twin / "labels.csv").write_text("".join(f"{c}\n" for c in labels))
+    first = _sweep_equals_lone_runs(data, tmp_path / "a")
+    again = _sweep_equals_lone_runs(twin, tmp_path / "b")
+    for cell in first:
+        assert first[cell]["objective_trace"] == again[cell]["objective_trace"]
+        assert first[cell]["metrics"] != again[cell]["metrics"]
+
+
 def test_sweep_records_cell_failure_and_continues(tmp_path):
     code, _, stderr = run_cli(["sweep", "--data", str(FIXTURE_DIR),
                                "--lambda1-grid=-1,1", "--lambda2-grid", "1",
@@ -609,15 +679,18 @@ def test_sweep_records_non_finite_lambda_as_cell_error(tmp_path):
 
 def test_sweep_lets_a_solver_defect_through(tmp_path, monkeypatch):
     # only a cell's own lambdas make an error row; anything a fit raises
-    # ends the sweep before it writes a summary
-    def broken(ds, cfg):
-        raise RuntimeError("solver defect")
+    # ends the sweep before it writes any file, so the report of the cell
+    # fitted before it is not written either
+    def broken_after_one(ds, cfg):
+        if cfg.lambda1 > 1:
+            raise RuntimeError("solver defect")
+        return solver.fit(ds, cfg)
 
-    monkeypatch.setattr(mvncd.cli, "fit", broken)
+    monkeypatch.setattr(mvncd.cli, "fit", broken_after_one)
     with pytest.raises(RuntimeError, match="solver defect"):
-        run_cli(["sweep", "--data", str(FIXTURE_DIR), "--lambda1-grid", "1",
+        run_cli(["sweep", "--data", str(FIXTURE_DIR), "--lambda1-grid", "1,10",
                  "--lambda2-grid", "1", "--out", str(tmp_path)])
-    assert not (tmp_path / "summary.csv").exists()
+    assert os.listdir(tmp_path) == []
 
 
 def test_sweep_refuses_dataset_the_model_cannot_fit(tmp_path):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mvncd.metrics import (
     clustering_accuracy,
@@ -10,6 +11,7 @@ from mvncd.metrics import (
     hungarian_match,
     nmi,
     purity,
+    scores,
 )
 
 
@@ -206,3 +208,21 @@ def test_metrics_relabeling_invariance():
             clustering_accuracy(pred, truth), abs=1e-12)
         assert nmi(pp, tt) == pytest.approx(nmi(pred, truth), abs=1e-12)
         assert purity(pp, truth) == pytest.approx(purity(pred, truth), abs=1e-12)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(pairs=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                      min_size=1, max_size=40),
+       offsets=st.tuples(st.integers(-3, 10**6), st.integers(-3, 10**6)))
+@example(pairs=[(0, 0), (0, 1), (0, 2), (0, 1)], offsets=(0, 0))          # one cluster
+@example(pairs=[(0, 4), (1, 4), (2, 4)], offsets=(0, 0))                  # one class
+@example(pairs=[(0, 0), (1, 0), (2, 1), (3, 1), (4, 0)], offsets=(0, 0))  # k_pred > k_true
+@example(pairs=[(0, 1), (1, 0), (1, 1), (2, 2)], offsets=(7, 1000))       # ids from 7, 1001
+@example(pairs=[(3, 3)], offsets=(0, 0))                                  # one sample
+def test_scores_equal_the_three_metrics(pairs, offsets):
+    # one contingency table serves all three metrics, exactly
+    pred = np.array([p for p, _ in pairs]) + offsets[0]
+    truth = np.array([t for _, t in pairs]) + offsets[1]
+    assert scores(pred, truth) == {"acc": clustering_accuracy(pred, truth),
+                                   "nmi": nmi(pred, truth),
+                                   "purity": purity(pred, truth)}
