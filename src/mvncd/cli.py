@@ -31,7 +31,7 @@ from mvncd.dataset import (
 )
 # perfbench/child.py --trace wraps the three names that the CLI no longer calls
 from mvncd.metrics import clustering_accuracy, nmi, purity, scores  # noqa: F401
-from mvncd.solver import INIT_MODES, FitResult, SolverConfig, fit, is_monotone
+from mvncd.solver import INIT_MODES, FitResult, SolverConfig, _check_lambda2, fit, is_monotone
 
 SCHEMA_VERSION = 2
 EXIT_OK = 0
@@ -234,6 +234,7 @@ def cmd_sweep(args) -> int:
             t1, t2 = _grid_text(l1), _grid_text(l2)
             try:
                 cfg = dataclasses.replace(base, lambda1=l1, lambda2=l2)
+                _check_lambda2(ds, cfg)
             except ValueError as exc:  # this cell's own lambdas: record it
                 status = f"error: {exc}"
             else:

@@ -7,6 +7,7 @@ load and again on write.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import math
@@ -35,9 +36,9 @@ _PARSE_FORMAT = "mvncd parse 1: loadtxt delimiter=',' ndmin=2 dtype=float64, row
 # and more threads than CPUs share the CPUs evenly: three views on two
 # threads would leave one thread two views to do.
 _THREADS_PER_CPU = 2
-# Every blocked pass over a view's columns, and the cache's hash of a CSV,
-# takes about this many bytes at a time: the views checked, normalized or
-# hashed at once on the loader's threads hold about 1 MiB of blocks.
+# Every blocked pass over a view's columns takes about this many bytes at a
+# time, as hashlib.file_digest does when it hashes a CSV: the views checked,
+# normalized or hashed at once on the loader's threads hold about 1 MiB.
 _BLOCK_BYTES = 1 << 18
 # What os.fork warns from Python 3.12 on in a process with more than one
 # OS thread; numpy's BLAS pool makes every process here such a process.
@@ -133,22 +134,28 @@ def make_dataset(
     ``known_classes`` defaults to the split_known_novel rule. Raises
     DatasetError on any inconsistency.
     """
-    split = _class_split(labels, num_classes, known_classes)
-    return MultiViewDataset(views=_checked_views(view_arrays, split["labels"].size),
-                            **split)
+    widest = max((np.shape(arr)[0] for arr in view_arrays if np.ndim(arr)), default=0)
+    split = _class_split(labels, num_classes, known_classes, widest)
+    if len(view_arrays) == 0:
+        raise DatasetError("dataset needs at least one view")
+    n = split["labels"].size
+    views = tuple(ViewMatrix(data=_checked_view(arr, i, n)) for i, arr in enumerate(view_arrays))
+    return MultiViewDataset(views=views, **split)
 
 
 def _class_split(labels: np.ndarray, num_classes: int,
-                 known_classes: Sequence[int] | None = None) -> dict:
+                 known_classes: Sequence[int] | None, widest: int) -> dict:
     """Validate ``labels`` and split the classes into known and novel ones
     as :func:`make_dataset` does; returns the MultiViewDataset fields other
-    than ``views``, by name."""
+    than ``views``, by name. ``widest`` is the widest view's feature count."""
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.size == 0:
         raise DatasetError("labels must be a non-empty 1-d array")
     k = int(num_classes)
-    if k < 2:
-        raise DatasetError(f"num_classes must be >= 2, got {k}")
+    if not 2 <= k <= max(labels.size, widest):   # before any k-entry array exists
+        raise DatasetError(f"num_classes must be at least 2 and at most the larger of the "
+                           f"{labels.size} samples and the widest view's {widest} "
+                           f"features, got {k}")
     labels = _integer_labels(labels, k)
 
     # one mask over the class ids gives the known, novel and labeled sets
@@ -170,13 +177,6 @@ def _class_split(labels: np.ndarray, num_classes: int,
     return dict(labels=labels, num_classes=k, known_classes=np.flatnonzero(is_known_class),
                 novel_classes=novel, labeled_indices=np.flatnonzero(is_known),
                 unlabeled_indices=np.flatnonzero(~is_known))
-
-
-def _checked_views(view_arrays: Sequence[np.ndarray], n: int) -> tuple[ViewMatrix, ...]:
-    if len(view_arrays) == 0:
-        raise DatasetError("dataset needs at least one view")
-    return tuple(ViewMatrix(data=_checked_view(arr, i, n))
-                 for i, arr in enumerate(view_arrays))
 
 
 def _checked_view(arr: np.ndarray, i: int, n: int) -> np.ndarray:
@@ -459,7 +459,8 @@ def read_manifest(path: str | Path, known_classes: Sequence[int] | None = None
         entries.append((base / _require(entry, "path", str, f"view {i}"),
                         _require(entry, "dim", int, f"view {i}")))
     labels = read_integers(base / labels_name, "labels")
-    return entries, _class_split(labels, num_classes, known_classes)
+    return entries, _class_split(labels, num_classes, known_classes,
+                                 max(dim for _, dim in entries))
 
 
 def _require(fields: dict, key: str, kind: type, what: str):
@@ -494,10 +495,8 @@ def _cache_lookup(path: Path) -> tuple[np.ndarray | None, _ParseCache | None]:
     file's cache, None when the file is too small to be cached or is not a
     file at all (its parse refuses it). Safe to call on any thread; the
     file is hashed at most once per cache."""
-    if not path.is_file():
-        return None, None
-    stat = path.stat()
-    if stat.st_size < 2 * _MIN_RANGE_BYTES:
+    stat = path.stat() if path.is_file() else None
+    if stat is None or stat.st_size < 2 * _MIN_RANGE_BYTES:
         return None, None
     cache = _ParseCache(path, stat)
     return cache.lookup(), cache
@@ -551,53 +550,42 @@ class _ParseCache:
         self.stat = stat
         self.digest: bytes | None = None
 
-    def _trusted(self, entry: os.stat_result) -> bool:
-        # an entry's values are not checked against the CSV, so whoever can
-        # write the entry decides what is loaded
-        if not hasattr(os, "geteuid"):
-            return True
-        return (entry.st_uid in (self.stat.st_uid, os.geteuid())
-                and not entry.st_mode & 0o022)
-
     def hash(self) -> None:
-        """Set ``digest``, once, from the file read ``_BLOCK_BYTES`` at a
-        time: a whole read or an mmap would count toward the peak RSS. It
-        stays None if the file cannot be read."""
+        """Set ``digest`` once; it stays None if the file cannot be read.
+        The file is read into one 256 KiB buffer: a whole read or an mmap
+        would count toward the peak RSS."""
         if self.digest is not None:
             return
         import hashlib  # 5.8 ms to import, which `import mvncd.cli` does not pay
-        h = hashlib.sha256(f"{_PARSE_FORMAT}; numpy {np.__version__}".encode())
-        block = bytearray(_BLOCK_BYTES)
-        view = memoryview(block)
-        try:
-            with open(self.path, "rb", buffering=0) as f:
-                while n := f.readinto(block):
-                    h.update(view[:n])
-        except OSError:
-            return
-        self.digest = h.digest()
+        prefix = f"{_PARSE_FORMAT}; numpy {np.__version__}".encode()
+        with contextlib.suppress(OSError), open(self.path, "rb", buffering=0) as f:
+            self.digest = hashlib.file_digest(f, lambda: hashlib.sha256(prefix)).digest()
 
     def lookup(self) -> np.ndarray | None:
         """The cached parse, or None. The file is hashed only when it has a
         trusted entry. An entry that is absent, not trusted or unreadable,
-        whose last 32 bytes are not the key, or whose header does not claim
-        a 2-d C-order float64 array with a row that ends where the key
-        begins is a miss. The header is checked before the array is
-        allocated, so one that overstates the entry's size is a miss too."""
-        fmt = np.lib.format
+        whose last 32 bytes are not the key, or whose header is not the
+        ``.npy`` 1.0 header ``np.save`` writes for a 2-d C-order float64
+        array with a row that ends where the key begins is a miss; it is
+        checked before the array is allocated, so one that overstates the
+        entry's size is a miss too."""
         try:
             with open(self.entry, "rb") as f:
                 entry_stat = os.fstat(f.fileno())
-                if not self._trusted(entry_stat):
+                # an entry's values are not checked against the CSV, so
+                # whoever can write the entry decides what is loaded
+                if hasattr(os, "geteuid") and (
+                        entry_stat.st_uid not in (self.stat.st_uid, os.geteuid())
+                        or entry_stat.st_mode & 0o022):
                     return None
                 f.seek(-32, os.SEEK_END)
                 self.hash()
                 if f.read() != self.digest:
                     return None
                 f.seek(0)
-                v1 = fmt.read_magic(f) == (1, 0)
-                shape, fortran, dtype = (fmt.read_array_header_1_0 if v1
-                                         else fmt.read_array_header_2_0)(f)
+                if np.lib.format.read_magic(f) != (1, 0):
+                    return None
+                shape, fortran, dtype = np.lib.format.read_array_header_1_0(f)
                 if (len(shape) != 2 or fortran or dtype != np.float64 or shape[0] < 1
                         or f.tell() + shape[0] * shape[1] * 8 != entry_stat.st_size - 32):
                     return None
@@ -612,7 +600,7 @@ class _ParseCache:
         entry is saved on an OSError or when the file's size or mtime is no
         longer that of ``stat``, taken before it was parsed and hashed."""
         self.hash()
-        try:
+        with contextlib.suppress(OSError):
             now = self.path.stat()
             if self.digest is None or ((now.st_size, now.st_mtime_ns)
                                        != (self.stat.st_size, self.stat.st_mtime_ns)):
@@ -620,8 +608,6 @@ class _ParseCache:
             self.dir.mkdir(mode=0o755, exist_ok=True)
             _write_files([(self.entry, lambda f: (np.save(f, arr), f.write(self.digest)))],
                          0o644)
-        except OSError:
-            pass
 
 
 def _usable_cpus() -> int:

@@ -175,18 +175,19 @@ def _build_problem(ds: MultiViewDataset, normalize: str,
             f"no unlabeled samples: none of the novel classes "
             f"{ds.novel_classes.tolist()} has a sample to cluster"
         )
+    k = ds.num_classes
+    for i, view in enumerate(ds.views):
+        if view.dim < k:   # before the subset below, which could refuse k
+            raise DatasetError(
+                f"view {i}: {view.dim} features cannot carry an "
+                f"orthonormal basis for {k} classes"
+            )
     if ablate_labeled:
         # the subset is a fresh copy, so it is normalized in place
         work = _normalized(unlabeled_subset(ds), normalize, in_place=True)
     else:
         work = normalize_features(ds, normalize)
-    k = work.num_classes
     for i, view in enumerate(work.views):
-        if view.dim < k:
-            raise DatasetError(
-                f"view {i}: {view.dim} features cannot carry an "
-                f"orthonormal basis for {k} classes"
-            )
         if not _varies(view.data):
             raise DatasetError(
                 f"view {i}: every feature is constant over the "
@@ -465,7 +466,7 @@ def update_labels_novel(state: ModelState, buffers: WorkBuffers,
     cost plus 2*lambda2*(labeled count of the row), the one-hot form of the
     separation reward. ``hard_restrict`` masks known rows entirely."""
     scores = buffers.cost[:, unlabeled]
-    scores += 2.0 * lambda2 * buffers.label_counts[:, None]
+    scores += 2.0 * buffers.label_counts[:, None] * lambda2
     if hard_restrict:
         scores[:num_known, :] = np.inf
     state.y[unlabeled] = np.argmin(scores, axis=0)
@@ -505,11 +506,20 @@ def _objective(state: ModelState, prob: _Problem, cfg: SolverConfig,
     for w, r in zip(state.view_weights.tolist(), residuals.tolist()):
         total += w * w * r
     mismatches = int(np.count_nonzero(state.y[prob.labeled] != prob.truth_rows))
-    total += cfg.lambda1 * 2.0 * mismatches
+    total += 2.0 * mismatches * cfg.lambda1
     u_counts = np.bincount(state.y[prob.unlabeled], minlength=prob.num_classes)
     overlap = float(prob.label_counts @ u_counts)
-    total -= cfg.lambda2 * 2.0 * (prob.labeled.size * prob.unlabeled.size - overlap)
+    total -= 2.0 * (prob.labeled.size * prob.unlabeled.size - overlap) * cfg.lambda2
     return total
+
+
+def _check_lambda2(ds: MultiViewDataset, cfg: SolverConfig) -> None:
+    """Refuse a lambda2 whose largest term, 2 * lambda2 * n_l * n_u, is not
+    finite; ``ablate_labeled`` drops the labeled samples and the term."""
+    n_l = 0 if cfg.ablate_labeled else ds.num_labeled
+    if not math.isfinite(2.0 * (n_l * ds.num_unlabeled) * cfg.lambda2):
+        raise ValueError(f"lambda2 must keep 2 * lambda2 * n_l * n_u finite "
+                         f"(n_l {n_l}, n_u {ds.num_unlabeled}), got {cfg.lambda2}")
 
 
 def fit(ds: MultiViewDataset, cfg: SolverConfig) -> FitResult:
@@ -531,6 +541,7 @@ def fit(ds: MultiViewDataset, cfg: SolverConfig) -> FitResult:
     place, build a new dataset with ``make_dataset``.
     """
     start = time.perf_counter()
+    _check_lambda2(ds, cfg)
     prob, start_state, stats = _prepare(ds, cfg.normalize, cfg.ablate_labeled,
                                         cfg.seed, cfg.init_y_novel)
     state = copy.deepcopy(start_state)

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import re
+import shutil
 import stat
 import subprocess
 import sys
@@ -132,6 +133,41 @@ def test_run_refuses_non_finite_settings(tmp_path):
         assert f"{flag.lstrip('-')} must be finite" in stderr
         assert f"got {value}" in stderr
         assert not out.exists()
+
+
+def test_huge_lambda1_is_dropped_with_the_labeled_samples(tmp_path):
+    # 2 * 1e308 overflows; the ablation's zero mismatches times it would be
+    # NaN, so the count is formed first and the term is exactly 0
+    for value in ("1", "1e308"):
+        assert run_fixture(tmp_path / value, "--lambda1", value, "--ablate-labeled")[0] == 0
+    for name in ("trace.csv", "assignment.csv"):
+        assert (tmp_path / "1e308" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
+    assert run_fixture(tmp_path / "kept", "--lambda1", "1e308")[0] == 0
+
+
+def test_run_refuses_lambda2_whose_separation_term_overflows(tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # numpy's "invalid value in multiply"
+        code, _, stderr = run_fixture(tmp_path / "out", "--lambda2", "1e308")
+    assert code == 2
+    assert "error: lambda2 must keep 2 * lambda2 * n_l * n_u finite" in stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "eval"])
+def test_num_classes_the_class_split_cannot_hold_is_refused(tmp_path, command):
+    data = tmp_path / "data"
+    shutil.copytree(FIXTURE_DIR, data)
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest["num_classes"] = 10**12
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    argv = {"run": ["--out", str(tmp_path / "out")],
+            "eval": ["--assignment", str(data / "labels.csv")]}[command]
+    code, stdout, stderr = run_cli([command, "--data", str(data), *argv])
+    assert code == 2 and stdout == ""
+    assert stderr.startswith("error: num_classes must be at least 2 and at most")
+    assert stderr.endswith("got 1000000000000\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -675,6 +711,23 @@ def test_sweep_records_non_finite_lambda_as_cell_error(tmp_path):
         assert row.startswith("nan,") and "lambda1 must be finite" in row
         assert "got nan" in row
     assert "lambda1=nan" in stderr
+
+
+def test_sweep_records_an_overflowing_lambda2_as_cell_error(tmp_path):
+    code, _, stderr = run_cli(["sweep", "--data", str(FIXTURE_DIR),
+                               "--lambda1-grid", "1,10",
+                               "--lambda2-grid", "1,1e308", "--out", str(tmp_path)])
+    assert code == 0
+    rows = (tmp_path / "summary.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:2] for row in rows] == [
+        ["1", "1"], ["1", "1e+308"], ["10", "1"], ["10", "1e+308"]]
+    for row in rows[0::2]:
+        assert row.endswith(",ok")
+    for row in rows[1::2]:
+        assert ",,,,\"error: lambda2 must keep 2 * lambda2 * n_l * n_u finite" in row
+    assert sorted(os.listdir(tmp_path)) == ["run_l1_10_l2_1.json", "run_l1_1_l2_1.json",
+                                            "summary.csv"]
+    assert stderr.count("lambda2=1e+308: error: lambda2 must keep") == 2
 
 
 def test_sweep_lets_a_solver_defect_through(tmp_path, monkeypatch):

@@ -12,6 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import FIXTURE_DIR, concat_kmeans_ncd, traced_peak
 
@@ -73,6 +74,74 @@ def test_make_dataset_rejects_bad_inputs():
         make_dataset([x], labels, 4, known_classes=[0, 1, 2, 3])  # nothing novel
     with pytest.raises(DatasetError):
         make_dataset([x], labels, 4, known_classes=[7])
+
+
+def test_num_classes_beyond_the_samples_and_every_view_is_refused():
+    # the split holds k-entry arrays, so a huge k is refused before any
+    # exists; k up to the sample count or the widest view is accepted
+    labels = np.array([0, 1, 2, 3])
+    with pytest.raises(DatasetError, match=re.escape(
+            "num_classes must be at least 2 and at most the larger of the 4 samples "
+            "and the widest view's 3 features, got 1000000000000")):
+        make_dataset([np.zeros((3, 4))], labels, 10**12)
+    with pytest.raises(DatasetError, match="^num_classes must .* 6 features, got 7$"):
+        make_dataset([np.zeros((6, 4)), np.zeros((2, 4))], labels, 7)
+    assert make_dataset([np.zeros((3, 4))], labels, 4).num_classes == 4
+    assert make_dataset([np.zeros((2, 4)), np.zeros((6, 4))], labels, 6).num_classes == 6
+
+
+def test_load_refuses_num_classes_beyond_the_samples_and_every_view(tmp_path):
+    write_dataset(_tiny(), tmp_path)   # 12 samples, views of 5 and 6 features
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    for k, refused in ((12, False), (13, True), (10**12, True)):
+        manifest["num_classes"] = k
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        if refused:
+            with pytest.raises(DatasetError, match=f"^num_classes must .* 6 features, got {k}$"):
+                load_dataset(tmp_path)
+        else:
+            assert load_dataset(tmp_path).num_classes == k
+
+
+@st.composite
+def _split_inputs(draw):
+    """make_dataset's arguments, mostly valid, so that each refusal and a
+    dataset are all drawn often; num_classes and known ids up to 2**62."""
+    num_classes = draw(st.integers(2, 10) | st.integers(-1, 2**62))
+    top = min(max(num_classes, 1), 10)
+    labels = draw(st.lists(st.integers(0, top - 1), min_size=1, max_size=12))
+    stray = draw(st.sampled_from([None, None, None, -1, num_classes]))
+    if stray is not None:
+        labels.insert(draw(st.integers(0, len(labels))), stray)
+    known = draw(st.none() | st.lists(st.integers(0, top - 1), min_size=1, max_size=4)
+                 | st.lists(st.integers(-1, top) | st.integers(0, 2**62), max_size=4))
+    columns = max(0, len(labels) + draw(st.just(0) | st.integers(-1, 1)))
+    views = [np.zeros((d, columns))
+             for d in draw(st.lists(st.integers(1, 16), min_size=1, max_size=3))]
+    return views, np.array(labels, dtype=np.int64), num_classes, known
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(args=_split_inputs())
+def test_class_split_is_refused_or_partitions_the_classes_and_samples(args):
+    # a DatasetError, or the sets README's "Dataset format" names; no other
+    # exception, so a num_classes of up to 2**62 is refused, not allocated
+    views, labels, num_classes, known = args
+    try:
+        ds = make_dataset(views, labels, num_classes, known)
+    except DatasetError:
+        return
+    k = ds.num_classes
+    assert k == num_classes <= max(labels.size, *(v.shape[0] for v in views))
+    known_ids, novel_ids = ds.known_classes.tolist(), ds.novel_classes.tolist()
+    assert sorted(known_ids + novel_ids) == list(range(k))
+    assert known_ids == sorted(set(known_ids)) and novel_ids == sorted(set(novel_ids))
+    assert known_ids and novel_ids
+    assert known_ids == (list(range(k // 2)) if known is None else sorted(set(known)))
+    assert sorted(ds.labeled_indices.tolist() + ds.unlabeled_indices.tolist()) == \
+        list(range(labels.size))
+    assert np.array_equal(ds.labeled_indices, np.flatnonzero(np.isin(labels, known_ids)))
+    assert np.array_equal(ds.unlabeled_indices, np.flatnonzero(np.isin(labels, novel_ids)))
 
 
 @pytest.mark.parametrize("col", [None, 0, 8191, 19_999])
@@ -763,10 +832,11 @@ def _entry_of(csv):
     return csv.parent / dataset._CACHE_DIR / f"{csv.name}.npy"
 
 
-def _saved(arr):
-    """The bytes ``np.save`` writes for ``arr``."""
+def _saved(arr, version=None):
+    """The bytes ``np.save`` writes for ``arr``; with ``version``, those of
+    that ``.npy`` format version."""
     buf = io.BytesIO()
-    np.save(buf, arr)
+    np.lib.format.write_array(buf, arr, version=version)
     return buf.getvalue()
 
 
@@ -837,7 +907,8 @@ def test_rewritten_csv_of_the_same_size_and_mtime_is_a_miss(big_csv):
 
 
 @pytest.mark.parametrize("damage", ["truncated", "key read as data", "float32", "fortran",
-                                    "object", "no rows", "overstated rows", "wrong key"])
+                                    "object", "no rows", "overstated rows", "wrong key",
+                                    "version 2.0"])
 def test_unreadable_entry_is_a_miss_and_is_replaced(big_csv, damage):
     # every damaged array is followed by the right key, so the array checks
     # decide the miss; "wrong key" is a sound entry of the file's old bytes
@@ -855,20 +926,31 @@ def test_unreadable_entry_is_a_miss_and_is_replaced(big_csv, damage):
         # "key read as data" is short by one key: an array read on to the
         # end of the file would take the key for its last four values.
         # "overstated rows" claims 6 TB of rows, which np.load would try to
-        # allocate before it read a value
+        # allocate before it read a value. "version 2.0" is the right array
+        # in a format np.save never writes for it
         bad = {"truncated": lambda: saved[:len(saved) // 2],
                "key read as data": lambda: saved[:-32],
                "float32": lambda: _saved(want.astype(np.float32)),
                "fortran": lambda: _saved(np.asfortranarray(want)),
                "object": lambda: _saved(np.array([None, want], dtype=object)),
                "no rows": lambda: _saved(want[:0]),
-               "overstated rows": lambda: _overstated(want, 12 * 10**9)}[damage]()
+               "overstated rows": lambda: _overstated(want, 12 * 10**9),
+               "version 2.0": lambda: _saved(want, version=(2, 0))}[damage]()
         entry.write_bytes(bad + key)
     got = _parse(big_csv)
     assert got.dtype == np.float64 and got.flags.c_contiguous
     assert got.tobytes("A") == want.tobytes("A")
     assert _cache_names(big_csv.parent) == ["view.csv.npy"]
     assert entry.read_bytes() == _saved(want) + key
+
+
+def test_entry_key_is_a_plain_sha256_of_the_tag_and_the_file(big_csv):
+    # any change to how the file is digested that moved the key would turn
+    # every entry already on disk into a miss
+    _parse(big_csv)
+    key = hashlib.sha256(f"{dataset._PARSE_FORMAT}; numpy {np.__version__}".encode())
+    key.update(big_csv.read_bytes())
+    assert _entry_of(big_csv).read_bytes()[-32:] == key.digest()
 
 
 def test_cache_dir_that_is_a_file_leaves_a_normal_load(big_csv):

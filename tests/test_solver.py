@@ -1,5 +1,7 @@
 import dataclasses
 import gc
+import math
+import sys
 import warnings
 import weakref
 
@@ -548,6 +550,28 @@ def test_labels_novel_penalty_dominance():
     assert result.novel_assignment.min() >= ds.num_known
 
 
+def test_lambda2_is_refused_once_the_separation_term_overflows():
+    # the largest lambda2 with 2 * lambda2 * n_l * n_u finite fits with a
+    # finite, monotone trace; the next float up is refused, except under
+    # ablate_labeled, which drops the term
+    ds = random_dataset(np.random.default_rng(22), per_class=8)
+    pairs = 2.0 * (ds.num_labeled * ds.num_unlabeled)
+    top = sys.float_info.max / pairs
+    while math.isfinite(pairs * math.nextafter(top, math.inf)):
+        top = math.nextafter(top, math.inf)
+    while not math.isfinite(pairs * top):
+        top = math.nextafter(top, 0.0)
+    result = fit(ds, SolverConfig(seed=0, lambda2=top, tol=0.0, max_iter=5))
+    assert np.all(np.isfinite(result.objective_trace))
+    assert is_monotone(result.objective_trace)
+    over = math.nextafter(top, math.inf)
+    with pytest.raises(ValueError, match="^lambda2 must keep 2 \\* lambda2 \\* n_l \\* n_u finite"):
+        fit(ds, SolverConfig(seed=0, lambda2=over))
+    ablated = [fit(ds, SolverConfig(seed=0, lambda2=value, ablate_labeled=True))
+               for value in (1.0, over)]
+    assert ablated[0].objective_trace == ablated[1].objective_trace
+
+
 # --- view weights ---
 
 def test_view_weights_examples():
@@ -713,6 +737,16 @@ def test_fit_rejects_rank_deficient_views():
     ds = make_dataset([x], np.repeat(np.arange(4), 10), 4)
     with pytest.raises(DatasetError):
         fit(ds, SolverConfig())
+
+
+def test_ablation_refuses_narrow_views_by_their_width():
+    # the unlabeled subset has fewer samples than classes, so its own
+    # num_classes bound would refuse it; the width is checked first
+    labels = np.array([0] * 3 + [1] * 3 + [2] * 3 + [3, 4, 5])
+    ds = make_dataset([np.random.default_rng(0).standard_normal((4, 12))], labels, 6)
+    for ablate in (False, True):
+        with pytest.raises(DatasetError, match="^view 0: 4 features cannot carry"):
+            fit(ds, SolverConfig(ablate_labeled=ablate))
 
 
 def test_fit_refuses_constant_view():
