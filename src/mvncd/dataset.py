@@ -459,8 +459,11 @@ def read_manifest(path: str | Path, known_classes: Sequence[int] | None = None
         entries.append((base / _require(entry, "path", str, f"view {i}"),
                         _require(entry, "dim", int, f"view {i}")))
     labels = read_integers(base / labels_name, "labels")
-    return entries, _class_split(labels, num_classes, known_classes,
-                                 max(dim for _, dim in entries))
+    # a declared dim counts only up to the columns its file can hold: a row
+    # of d values takes at least 2d - 1 bytes; no view is read here
+    return entries, _class_split(labels, num_classes, known_classes, max(
+        min(dim, (csv.stat().st_size + 1) // 2 if csv.is_file() else 0)
+        for csv, dim in entries))
 
 
 def _require(fields: dict, key: str, kind: type, what: str):

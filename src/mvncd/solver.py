@@ -78,11 +78,10 @@ class SolverConfig:
 
 @dataclass(eq=False)
 class ModelState:
-    """Current iterate: per-view orthonormal bases (d_v x k), per-view
-    centroids (k x k), one assignment row per sample, and view weights on
-    the simplex. The block updates store the centroids as one V x k x k
-    array, and the bases as one V x d x k array when every view has d
-    features; a list of per-view arrays is read the same way."""
+    """Current iterate: a list of per-view orthonormal bases (d_v x k),
+    per-view centroids (k x k), one assignment row per sample, and view
+    weights on the simplex. The block updates store the centroids as one
+    V x k x k array; a list of k x k arrays is read the same way."""
 
     bases: list[np.ndarray]
     centroids: list[np.ndarray]
@@ -99,13 +98,13 @@ class ClassStats:
     """All the basis, centroid and residual updates read of the data under
     one assignment y, so they need not touch the views while y stays put.
 
-    ``counts`` holds the samples per one-hot row. The per-view matrices are
-    stacked over the views, d_v x k ones padded with zero rows to the
-    largest d, so every block update is one batched call: ``sums[v]`` is
-    the class-sum matrix S_v = X_v @ Y.T, ``frames`` its thin QR factors
-    (the Q_v stack, the k x k R_v stack), ``means[v]`` the class means
-    S_v / counts (zero on empty rows) and ``scatter[v]`` the within-class
-    scatter W_v = sum_i ||x_i - mean_{y_i}||^2. W_v is taken from the class
+    ``counts`` holds the samples per one-hot row. The d_v x k matrices are
+    per-view lists: ``sums[v]`` is the class-sum matrix S_v = X_v @ Y.T,
+    ``frames`` its thin QR factors (the list of Q_v, and the k x k R_v
+    stacked over the views, so the basis update's SVD is one batched call)
+    and ``means[v]`` the class means S_v / counts (zero on empty rows).
+    ``scatter[v]`` is the within-class scatter
+    W_v = sum_i ||x_i - mean_{y_i}||^2, taken from the view's own class
     sums as ||X_v||_F^2 - sum_c ||S_c||^2 / n_c, one pass over the view,
     unless that falls below ``_SCATTER_IDENTITY_MIN`` times ||X_v||_F^2,
     where the difference cancels and a blocked pass over the samples gives
@@ -115,9 +114,9 @@ class ClassStats:
     """
 
     counts: np.ndarray
-    sums: np.ndarray
-    frames: tuple[np.ndarray, np.ndarray]
-    means: np.ndarray
+    sums: list[np.ndarray]
+    frames: tuple[list[np.ndarray], np.ndarray]
+    means: list[np.ndarray]
     scatter: np.ndarray
     z: np.ndarray
 
@@ -222,7 +221,7 @@ def _prepare(ds: MultiViewDataset, normalize: str, ablate_labeled: bool,
     prob = _build_problem(ds, normalize, ablate_labeled)
     y = _initial_assignment(prob, seed, init_y_novel)
     stats = class_stats(prob.xs, y, prob.num_classes, prob.totals)
-    start = ModelState(bases=_unpadded(stats.frames[0], prob.xs),
+    start = ModelState(bases=list(stats.frames[0]),
                        centroids=None, y=y,
                        view_weights=np.full(len(prob.xs), 1.0 / len(prob.xs)))
     update_centroids(start, prob.xs, stats)
@@ -282,44 +281,22 @@ def class_stats(xs: list[np.ndarray], y: np.ndarray, k: int,
     depend on ``y``; they are computed here when not given."""
     ymat_t = encode_onehot(y, k).T
     counts = np.bincount(y, minlength=k).astype(float)
-    shape = (len(xs), max(x.shape[0] for x in xs), k)
-    sums, means, q = np.zeros(shape), np.zeros(shape), np.zeros(shape)
-    r = np.empty((len(xs), k, k))
+    sums = [x @ ymat_t for x in xs]
+    means = [np.divide(s, counts, out=np.zeros_like(s), where=counts > 0)
+             for s in sums]
+    q, r = zip(*map(np.linalg.qr, sums))
     scatter = np.empty(len(xs))
     z = np.empty((len(xs) * k, y.size))
     for v, x in enumerate(xs):
-        rows = slice(0, x.shape[0])
-        np.matmul(x, ymat_t, out=sums[v, rows])
-        np.divide(sums[v, rows], counts, out=means[v, rows], where=counts > 0)
         # W_v = T_v - sum_c S_c . mean_c, an empty row's mean being 0; the
         # blocked pass where that cancels or T_v overflows (under "none")
         total = float(np.einsum("ij,ij->", x, x)) if totals is None else totals[v]
         scatter[v] = total - float(np.einsum("ij,ij->", sums[v], means[v]))
         if not _SCATTER_IDENTITY_MIN * total <= scatter[v] < math.inf:
-            scatter[v] = _within_scatter(x, y, means[v, rows])
-        q[v, rows], r[v] = np.linalg.qr(sums[v, rows])
-        np.matmul(q[v, rows].T, x, out=z[v * k:(v + 1) * k])
-    return ClassStats(counts=counts, sums=sums, frames=(q, r), means=means,
-                      scatter=scatter, z=z)
-
-
-def _padded(mats, rows: int) -> np.ndarray:
-    """The d_v x k matrices ``mats`` as one V x rows x k array, zero below
-    row d_v; ``mats`` itself when it already is that array."""
-    if isinstance(mats, np.ndarray) or all(m.shape[0] == rows for m in mats):
-        return np.asarray(mats)
-    out = np.zeros((len(mats), rows, mats[0].shape[1]))
-    for o, m in zip(out, mats):
-        o[:m.shape[0]] = m
-    return out
-
-
-def _unpadded(stack: np.ndarray, xs: list[np.ndarray]):
-    """The per-view d_v x k blocks of a padded stack: the stack itself when
-    no view is shorter than it."""
-    if all(x.shape[0] == stack.shape[1] for x in xs):
-        return stack
-    return [m[:x.shape[0]] for m, x in zip(stack, xs)]
+            scatter[v] = _within_scatter(x, y, means[v])
+        np.matmul(q[v].T, x, out=z[v * k:(v + 1) * k])
+    return ClassStats(counts=counts, sums=sums, frames=(list(q), np.stack(r)),
+                      means=means, scatter=scatter, z=z)
 
 
 def _within_scatter(x: np.ndarray, y: np.ndarray, means: np.ndarray) -> float:
@@ -340,8 +317,9 @@ def update_basis(state: ModelState, xs: list[np.ndarray],
     with S_v = X_v @ Y.T the class sums (the orthogonal-Procrustes maximizer
     of the trace it pairs with). With S_v = Q_v R_v that factor is Q_v times
     the polar factor of the k x k matrix R_v @ centroids.T, so a single
-    batched SVD of k x k matrices serves every view, whatever its d_v; this
-    per-iteration cost does not grow with n. ``stats`` are the class
+    batched SVD of the V stacked k x k matrices serves every view, whatever
+    its d_v, and only the product with Q_v is per view; this per-iteration
+    cost does not grow with n. ``stats`` are the class
     statistics of ``state.y``; without them they are computed from
     ``xs``.
 
@@ -358,17 +336,15 @@ def update_basis(state: ModelState, xs: list[np.ndarray],
     if stats is None:
         stats = class_stats(xs, state.y, state.num_classes)
     q, r = stats.frames
-    bases = _padded(state.bases, q.shape[1])
     centroids = np.asarray(state.centroids)
-    fitted = bases.transpose(0, 2, 1) @ stats.sums
+    fitted = np.stack([b.T @ s for b, s in zip(state.bases, stats.sums)])
     if (centroids == fitted * (1.0 / (stats.counts + RIDGE))).all():
-        gap = bases @ fitted
-        gap -= stats.sums
-        if (np.einsum("vij,vij->v", gap, gap) <= _SPAN_TOL**2 * np.einsum(
-                "vij,vij->v", stats.sums, stats.sums)).all():
+        gaps = [b @ f - s for b, f, s in zip(state.bases, fitted, stats.sums)]
+        if all(np.einsum("ij,ij->", g, g) <= _SPAN_TOL**2 * np.einsum("ij,ij->", s, s)
+               for g, s in zip(gaps, stats.sums)):
             return
     u, _, vt = np.linalg.svd(r @ centroids.transpose(0, 2, 1))
-    state.bases = _unpadded(q @ (u @ vt), xs)
+    state.bases = [qv @ polar for qv, polar in zip(q, u @ vt)]
 
 
 def update_centroids(state: ModelState, xs: list[np.ndarray],
@@ -382,8 +358,7 @@ def update_centroids(state: ModelState, xs: list[np.ndarray],
     """
     if stats is None:
         stats = class_stats(xs, state.y, state.num_classes)
-    bases = _padded(state.bases, stats.sums.shape[1])
-    state.centroids = (bases.transpose(0, 2, 1) @ stats.sums) * (
+    state.centroids = np.stack([b.T @ s for b, s in zip(state.bases, stats.sums)]) * (
         1.0 / (stats.counts + RIDGE))
 
 
@@ -406,13 +381,12 @@ def make_buffers(state: ModelState, xs: list[np.ndarray],
     frame to, and the one a caller without class statistics takes.
     """
     w2 = state.view_weights**2
-    stacked = _stacked_maps(state, max(x.shape[0] for x in xs))
-    maps = _unpadded(stacked, xs)
+    maps = _maps(state)
     if stats is None:
         diag = sum(w2[v] * np.einsum("ij,ij->j", m, m) for v, m in enumerate(maps))
         score = sum(w2[v] * (m.T @ xs[v]) for v, m in enumerate(maps))
     else:
-        framed = stats.frames[0].transpose(0, 2, 1) @ stacked
+        framed = np.stack([q.T @ m for q, m in zip(stats.frames[0], maps)])
         weighted = (w2[:, None, None] * framed).reshape(-1, framed.shape[2])
         diag = np.einsum("ij,ij->j", weighted, framed.reshape(weighted.shape))
         score = weighted.T @ stats.z
@@ -422,9 +396,9 @@ def make_buffers(state: ModelState, xs: list[np.ndarray],
                        label_counts=np.asarray(label_counts, dtype=float))
 
 
-def _stacked_maps(state: ModelState, rows: int) -> np.ndarray:
-    """basis @ centroids for every view, as one V x rows x k array."""
-    return _padded(state.bases, rows) @ np.asarray(state.centroids)
+def _maps(state: ModelState) -> list[np.ndarray]:
+    """basis @ centroids for every view, d_v x k each."""
+    return [b @ c for b, c in zip(state.bases, state.centroids)]
 
 
 def compute_residuals(buffers: WorkBuffers, y: np.ndarray,
@@ -434,17 +408,17 @@ def compute_residuals(buffers: WorkBuffers, y: np.ndarray,
     ``buffers.xs`` when not given."""
     if stats is None:
         stats = class_stats(buffers.xs, y, buffers.maps[0].shape[1])
-    return _residuals(stats, _padded(buffers.maps, stats.means.shape[1]))
+    return _residuals(stats, buffers.maps)
 
 
-def _residuals(stats: ClassStats, maps: np.ndarray) -> np.ndarray:
+def _residuals(stats: ClassStats, maps: list[np.ndarray]) -> np.ndarray:
     """``||X_v - maps[v][:, y]||^2`` per view, split at the class means
     (Koenig-Huygens): W_v + sum_c n_c ||mean_c - maps[v][:, c]||^2. Both
     terms are sums of squares, so nothing cancels, and an empty row adds
-    exactly 0. ``maps`` is padded like ``stats.means``. The one formula
+    exactly 0. ``maps`` are the d_v x k maps, one per view. The one formula
     behind the view-weight update and every objective value."""
-    gap = stats.means - maps
-    return stats.scatter + np.einsum("vij,vij,j->v", gap, gap, stats.counts)
+    gaps = [mean - m for mean, m in zip(stats.means, maps)]
+    return stats.scatter + [np.einsum("ij,ij,j->", g, g, stats.counts) for g in gaps]
 
 
 def update_labels_known(state: ModelState, buffers: WorkBuffers,
@@ -501,7 +475,7 @@ def _objective(state: ModelState, prob: _Problem, cfg: SolverConfig,
     ``stats``; ``residuals`` are its per-view reconstruction errors when the
     caller already has them."""
     if residuals is None:
-        residuals = _residuals(stats, _stacked_maps(state, stats.means.shape[1]))
+        residuals = _residuals(stats, _maps(state))
     total = 0.0
     for w, r in zip(state.view_weights.tolist(), residuals.tolist()):
         total += w * w * r
@@ -566,6 +540,7 @@ def fit(ds: MultiViewDataset, cfg: SolverConfig) -> FitResult:
         if moved:
             stats = class_stats(prob.xs, state.y, prob.num_classes, prob.totals)
         residuals = compute_residuals(buffers, state.y, stats)
+        del buffers   # the next iteration's k x n cost is built without this one
         update_view_weights(state, residuals, cfg.ablate_alpha)
         current = _objective(state, prob, cfg, stats, residuals)
         trace.append(current)

@@ -272,27 +272,30 @@ def test_criterion_5_ablation_direction():
           f"w/o-alpha=+{gaps['no_alpha']:.3f} w/o-labeled=+{gaps['no_labeled']:.3f}")
 
 
-def _per_iteration_time(n, seed):
-    ds = generate_synthetic(SyntheticSpec(
+def _per_iteration_times(sizes, seed):
+    """Per-iteration fit time at each sample count in ``sizes``."""
+    datasets = {n: generate_synthetic(SyntheticSpec(
         views=3, classes=10, per_class=n // 10, dims=100,
-        separation=4.0, noise=1.0, seed=seed))
-    fit(ds, SolverConfig(seed=0, tol=0.0, max_iter=3))  # warm-up
-    # the two lengths interleaved, so a slow spell of the host slows both
-    best = {5: np.inf, 25: np.inf}
+        separation=4.0, noise=1.0, seed=seed)) for n in sizes}
+    # both sizes and both lengths interleaved, so a slow spell of the host
+    # slows every timing; fit keeps one preparation, so an untimed fit
+    # prepares each dataset again before its timed ones
+    best = {(n, iters): np.inf for n in sizes for iters in (5, 25)}
     for _ in range(5):
-        for iters in best:
-            start = time.perf_counter()
-            fit(ds, SolverConfig(seed=0, tol=0.0, max_iter=iters))
-            best[iters] = min(best[iters], time.perf_counter() - start)
-    return (best[25] - best[5]) / 20.0
+        for n, ds in datasets.items():
+            fit(ds, SolverConfig(seed=0, tol=0.0, max_iter=1))
+            for iters in (5, 25):
+                start = time.perf_counter()
+                fit(ds, SolverConfig(seed=0, tol=0.0, max_iter=iters))
+                best[n, iters] = min(best[n, iters], time.perf_counter() - start)
+    return {n: (best[n, 25] - best[n, 5]) / 20.0 for n in sizes}
 
 
 def test_criterion_6_linear_scaling():
     ratios = []
     for trial in range(5):
-        small = _per_iteration_time(2000, seed=trial)
-        large = _per_iteration_time(4000, seed=trial)
-        ratios.append(large / small)
+        times = _per_iteration_times((2000, 4000), seed=trial)
+        ratios.append(times[4000] / times[2000])
     median = float(np.median(ratios))
     assert 1.5 <= median <= 3.0, f"doubling-n time ratios {ratios}"
     print(f"\ncriterion 6 PASS: median per-iteration ratio {median:.2f} "

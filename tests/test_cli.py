@@ -170,6 +170,29 @@ def test_num_classes_the_class_split_cannot_hold_is_refused(tmp_path, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("view_file", ["present", "absent"])
+@pytest.mark.parametrize("command", ["run", "eval"])
+def test_a_declared_dim_counts_only_up_to_what_its_file_holds(tmp_path, command,
+                                                              view_file):
+    # a huge num_classes beside a view dim as huge: the bound must not take
+    # the dim on trust, or the class split allocates 10**12 entries; an
+    # absent file holds no column
+    data = tmp_path / "data"
+    shutil.copytree(FIXTURE_DIR, data)
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest["num_classes"] = manifest["views"][0]["dim"] = 10**12
+    if view_file == "absent":
+        manifest["views"][0]["path"] = "missing.csv"
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    argv = {"run": ["--out", str(tmp_path / "out")],
+            "eval": ["--assignment", str(data / "labels.csv")]}[command]
+    code, stdout, stderr = run_cli([command, "--data", str(data), *argv])
+    assert code == 2 and stdout == ""
+    assert stderr.startswith("error: num_classes must be at least 2 and at most")
+    assert stderr.endswith("got 1000000000000\n") and stderr.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_negative_seed_refused_before_data_is_read(tmp_path, command):
     # the data path does not exist, so only a check made before loading

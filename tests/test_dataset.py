@@ -103,6 +103,24 @@ def test_load_refuses_num_classes_beyond_the_samples_and_every_view(tmp_path):
             assert load_dataset(tmp_path).num_classes == k
 
 
+def test_declared_dim_counts_up_to_the_columns_its_file_can_hold(tmp_path):
+    # one sample of two values, "1,2" with no newline: 3 bytes hold at most
+    # 2 columns, so num_classes 2 stands on the dim alone, and 3 is refused
+    # though the manifest declares 10**12 columns
+    (tmp_path / "view_0.csv").write_text("1,2")
+    (tmp_path / "labels.csv").write_text("0\n")
+    for dim, k, widest in ((2, 2, None), (10**12, 3, 2)):
+        (tmp_path / "manifest.json").write_text(json.dumps(
+            {"views": [{"path": "view_0.csv", "dim": dim}],
+             "labels": "labels.csv", "num_classes": k}))
+        if widest is None:
+            assert dataset.read_manifest(tmp_path)[1]["num_classes"] == k
+        else:
+            want = f"^num_classes must .* view's {widest} features, got {k}$"
+            with pytest.raises(DatasetError, match=want):
+                dataset.read_manifest(tmp_path)
+
+
 @st.composite
 def _split_inputs(draw):
     """make_dataset's arguments, mostly valid, so that each refusal and a

@@ -146,6 +146,17 @@ def test_initialize_kmeans_start_on_separable_data():
     assert state.y[ds.unlabeled_indices].min() >= ds.num_known
 
 
+@pytest.mark.parametrize("dims", [(8, 8, 8), (8, 8, 24)])
+def test_bases_are_a_list_of_per_view_arrays(dims):
+    # one representation whether or not the views share a width
+    ds = generate_synthetic(SyntheticSpec(views=3, classes=4, per_class=20,
+                                          dims=dims, seed=0))
+    cfg = SolverConfig(seed=0, tol=0.0, max_iter=3)
+    for state in (initialize(ds, cfg), fit(ds, cfg).state):
+        assert type(state.bases) is list
+        assert [basis.shape for basis in state.bases] == [(d, 4) for d in dims]
+
+
 def test_initialize_random_mode():
     rng = np.random.default_rng(9)
     ds = random_dataset(rng, per_class=10)
@@ -309,8 +320,8 @@ def test_frame_scores_and_norms_match_the_views(k, extra_dims, n, data_seed):
     update_basis(state, xs, stats)
     update_centroids(state, xs, stats)
     q = stats.frames[0]
-    for v, (basis, d) in enumerate(zip(state.bases, dims)):
-        frame = q[v, :d]
+    for v, basis in enumerate(state.bases):
+        frame = q[v]
         assert np.linalg.norm(basis - frame @ (frame.T @ basis)) <= 1e-12
     framed = make_buffers(state, xs, np.zeros(k), stats).cost
     direct = make_buffers(state, xs, np.zeros(k)).cost
@@ -372,8 +383,8 @@ def test_scatter_matches_the_blocked_pass(k, extra_dims, n, separation, skew,
         x *= 10.0 ** rng.uniform(-skew / 2, skew / 2, size=(d, 1))
         xs.append(x + (10.0**offset if offset >= 0 else 0.0))
     stats = solver.class_stats(xs, y, k)
-    for v, (x, d) in enumerate(zip(xs, dims)):
-        want = solver._within_scatter(x, y, stats.means[v, :d])
+    for v, x in enumerate(xs):
+        want = solver._within_scatter(x, y, stats.means[v])
         assert abs(stats.scatter[v] - want) <= 1e-12 * want
 
 
@@ -428,8 +439,11 @@ def test_fit_passes_the_squared_norms_summed_once(monkeypatch):
     def spy(xs, y, k, *totals):
         calls.append(totals)
         given, computed = real(xs, y, k, *totals), real(xs, y, k)
-        for field in ("counts", "sums", "means", "scatter", "z"):
+        for field in ("counts", "scatter", "z"):
             assert getattr(given, field).tobytes() == getattr(computed, field).tobytes()
+        for field in ("sums", "means"):
+            assert [m.tobytes() for m in getattr(given, field)] == \
+                [m.tobytes() for m in getattr(computed, field)]
         return given
     monkeypatch.setattr(solver, "class_stats", spy)
     solver._prepare.cache_clear()
