@@ -144,17 +144,22 @@ def make_dataset(
 
 
 def _class_split(labels: np.ndarray, num_classes: int,
-                 known_classes: Sequence[int] | None, widest: int) -> dict:
+                 known_classes: Sequence[int] | None, widest: int,
+                 capped: bool = False) -> dict:
     """Validate ``labels`` and split the classes into known and novel ones
     as :func:`make_dataset` does; returns the MultiViewDataset fields other
-    than ``views``, by name. ``widest`` is the widest view's feature count."""
+    than ``views``, by name. ``widest`` is the widest view's feature count;
+    ``capped`` says that it counts a declared dim only up to the columns
+    the view's file can hold, below some declared dim."""
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.size == 0:
         raise DatasetError("labels must be a non-empty 1-d array")
     k = int(num_classes)
     if not 2 <= k <= max(labels.size, widest):   # before any k-entry array exists
+        cap = (", counting a declared dim only up to the columns its file can hold,"
+               if capped else "")
         raise DatasetError(f"num_classes must be at least 2 and at most the larger of the "
-                           f"{labels.size} samples and the widest view's {widest} "
+                           f"{labels.size} samples and{cap} the widest view's {widest} "
                            f"features, got {k}")
     labels = _integer_labels(labels, k)
 
@@ -461,9 +466,10 @@ def read_manifest(path: str | Path, known_classes: Sequence[int] | None = None
     labels = read_integers(base / labels_name, "labels")
     # a declared dim counts only up to the columns its file can hold: a row
     # of d values takes at least 2d - 1 bytes; no view is read here
-    return entries, _class_split(labels, num_classes, known_classes, max(
-        min(dim, (csv.stat().st_size + 1) // 2 if csv.is_file() else 0)
-        for csv, dim in entries))
+    widest = max(min(dim, (csv.stat().st_size + 1) // 2 if csv.is_file() else 0)
+                 for csv, dim in entries)
+    return entries, _class_split(labels, num_classes, known_classes, widest,
+                                 capped=widest < max(dim for _, dim in entries))
 
 
 def _require(fields: dict, key: str, kind: type, what: str):

@@ -58,7 +58,7 @@ class SolverConfig:
     ablate_alpha: bool = False
     ablate_labeled: bool = False
     hard_restrict_novel: bool = False
-    # not a field: perfbench/child.py reads it; it goes with ROADMAP item 2
+    # not a field: perfbench/child.py reads it; it goes with ROADMAP items 17 and 3
     track_block_objective = False
 
     def __post_init__(self) -> None:
@@ -207,15 +207,29 @@ def _build_problem(ds: MultiViewDataset, normalize: str,
     )
 
 
+@dataclass(eq=False)
+class _Preparation:
+    """What :func:`fit` reads of its start before the lambdas act: the
+    problem, the start iterate, its assignment's class statistics and its
+    per-view residuals. ``buffers`` are the start's :class:`WorkBuffers`,
+    whose cost is read-only; the first fit that scores the start builds
+    them, and a fit that reaches a second iteration drops them."""
+
+    prob: _Problem
+    state: ModelState
+    stats: ClassStats
+    residuals: np.ndarray
+    buffers: WorkBuffers | None = None
+
+
 @functools.lru_cache(maxsize=1)
 def _prepare(ds: MultiViewDataset, normalize: str, ablate_labeled: bool,
-             seed: int, init_y_novel: str
-             ) -> tuple[_Problem, ModelState, ClassStats]:
-    """The problem, the start iterate and the class statistics of its
-    assignment. None depends on the lambdas, so the last is cached (it holds
-    ``ds``, which hashes by identity) and a sweep prepares once. Callers
-    never mutate the result; :func:`fit` and :func:`initialize` copy the
-    start. Each basis is the Q factor of its view's class sums S_v, so
+             seed: int, init_y_novel: str) -> _Preparation:
+    """The start of every fit of ``ds`` under these settings. None of it
+    depends on the lambdas, so the last is cached (it holds ``ds``, which
+    hashes by identity) and a sweep prepares once. Callers mutate only
+    its ``buffers`` slot; :func:`fit` and :func:`initialize` copy the
+    state. Each basis is the Q factor of its view's class sums S_v, so
     basis @ centroids = S_v / (counts + RIDGE) minimizes both blocks
     exactly."""
     prob = _build_problem(ds, normalize, ablate_labeled)
@@ -225,13 +239,15 @@ def _prepare(ds: MultiViewDataset, normalize: str, ablate_labeled: bool,
                        centroids=None, y=y,
                        view_weights=np.full(len(prob.xs), 1.0 / len(prob.xs)))
     update_centroids(start, prob.xs, stats)
-    return prob, start, stats
+    residuals = _residuals(stats, _maps(start))
+    residuals.flags.writeable = False
+    return _Preparation(prob, start, stats, residuals)
 
 
 def initialize(ds: MultiViewDataset, cfg: SolverConfig) -> ModelState:
     """Build the starting iterate (the one :func:`fit` starts from)."""
     return copy.deepcopy(_prepare(ds, cfg.normalize, cfg.ablate_labeled,
-                                  cfg.seed, cfg.init_y_novel)[1])
+                                  cfg.seed, cfg.init_y_novel).state)
 
 
 def _initial_assignment(prob: _Problem, seed: int, init_y_novel: str) -> np.ndarray:
@@ -510,26 +526,44 @@ def fit(ds: MultiViewDataset, cfg: SolverConfig) -> FitResult:
     a move, are the exact minimum of both blocks for the assignment, which
     further updates would keep bit for bit (see :func:`update_basis`).
 
+    Iteration 1 scores the start's assignment cost and J0 reads its
+    residuals, which the cached preparation holds for every fit whatever
+    the lambdas (the weights and J1 too while iteration 1 moves no label).
+    A fit that reaches a second iteration drops the held cost first, so it
+    holds one k x n cost at a time.
+
     ``ds`` and its arrays are treated as immutable, since the last
     preparation is reused for the same ``ds``. After changing data in
     place, build a new dataset with ``make_dataset``.
     """
     start = time.perf_counter()
     _check_lambda2(ds, cfg)
-    prob, start_state, stats = _prepare(ds, cfg.normalize, cfg.ablate_labeled,
-                                        cfg.seed, cfg.init_y_novel)
-    state = copy.deepcopy(start_state)
+    prep = _prepare(ds, cfg.normalize, cfg.ablate_labeled, cfg.seed,
+                    cfg.init_y_novel)
+    prob, stats = prep.prob, prep.stats
+    state = copy.deepcopy(prep.state)
 
-    trace = [_objective(state, prob, cfg, stats)]
+    trace = [_objective(state, prob, cfg, stats, prep.residuals)]
     alphas = [state.view_weights.copy()]
     converged = False
     moved = False
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
-        if moved:
-            update_basis(state, prob.xs, stats)
-            update_centroids(state, prob.xs, stats)
-        buffers = make_buffers(state, prob.xs, prob.label_counts, stats)
+        if iterations == 1:
+            buffers = prep.buffers
+            if buffers is None:
+                buffers = make_buffers(prep.state, prob.xs, prob.label_counts,
+                                       stats)
+                buffers.cost.flags.writeable = False
+                prep.buffers = buffers
+        else:
+            # dropped before the next cost is built, so a fit that
+            # iterates holds one k x n cost at a time, as without the cache
+            prep.buffers = None
+            if moved:
+                update_basis(state, prob.xs, stats)
+                update_centroids(state, prob.xs, stats)
+            buffers = make_buffers(state, prob.xs, prob.label_counts, stats)
         previous_y = state.y.copy()
         update_labels_known(state, buffers, prob.labeled, prob.truth_rows,
                             cfg.lambda1)
@@ -539,7 +573,10 @@ def fit(ds: MultiViewDataset, cfg: SolverConfig) -> FitResult:
         moved = not np.array_equal(previous_y, state.y)
         if moved:
             stats = class_stats(prob.xs, state.y, prob.num_classes, prob.totals)
-        residuals = compute_residuals(buffers, state.y, stats)
+        if iterations == 1 and not moved:
+            residuals = prep.residuals   # the start's maps and assignment
+        else:
+            residuals = compute_residuals(buffers, state.y, stats)
         del buffers   # the next iteration's k x n cost is built without this one
         update_view_weights(state, residuals, cfg.ablate_alpha)
         current = _objective(state, prob, cfg, stats, residuals)

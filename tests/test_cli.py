@@ -190,6 +190,8 @@ def test_a_declared_dim_counts_only_up_to_what_its_file_holds(tmp_path, command,
     assert code == 2 and stdout == ""
     assert stderr.startswith("error: num_classes must be at least 2 and at most")
     assert stderr.endswith("got 1000000000000\n") and stderr.count("\n") == 1
+    # the width it names is the files' cap, not the declared dim
+    assert ", counting a declared dim only up to the columns its file can hold, " in stderr
     assert not (tmp_path / "out").exists()
 
 
@@ -851,6 +853,26 @@ def test_sweep_prepares_once(tmp_path, monkeypatch):
     assert code == 0
     assert len(calls) == 1
     assert len(stats_calls) == 1
+
+
+def test_sweep_cells_that_stop_in_iteration_1_build_one_assignment_cost(
+        tmp_path, monkeypatch):
+    # at these lambda2 the separation term's constant dwarfs the first step,
+    # so every cell stops after iteration 1; all four then score the start's
+    # assignment cost, which the preparation holds (the fixture's cells at
+    # lambda2 1 and 10 take a second iteration, which drops it)
+    calls = []
+    real = solver.make_buffers
+    monkeypatch.setattr(solver, "make_buffers",
+                        lambda *args: calls.append(1) or real(*args))
+    solver._prepare.cache_clear()
+    code, _, _ = run_cli(["sweep", "--data", str(FIXTURE_DIR),
+                          "--lambda1-grid", "1,10", "--lambda2-grid", "1e4,1e5",
+                          "--out", str(tmp_path)])
+    assert code == 0
+    reports = [json.loads(path.read_text()) for path in tmp_path.glob("run_*.json")]
+    assert len(reports) == 4 and all(r["iterations"] == 1 for r in reports)
+    assert len(calls) == 1
 
 
 # --- eval ---

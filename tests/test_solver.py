@@ -31,6 +31,7 @@ from mvncd import solver
 from mvncd.baselines import kmeans_fit
 from mvncd.metrics import clustering_accuracy
 from mvncd.solver import (
+    INIT_MODES,
     ModelState,
     SolverConfig,
     compute_residuals,
@@ -895,6 +896,45 @@ def test_prepare_reused_across_lambdas(monkeypatch):
             fit(ds, SolverConfig(lambda1=lambda1, lambda2=lambda2, tol=0.0,
                                  max_iter=3, ablate_alpha=lambda1 > 1))
     assert len(calls) == 1
+
+
+def _held_start(ds, cfg):
+    return solver._prepare(ds, cfg.normalize, cfg.ablate_labeled, cfg.seed,
+                           cfg.init_y_novel)
+
+
+@pytest.mark.parametrize("init_y_novel", INIT_MODES)
+def test_a_fit_that_iterates_drops_the_held_start_buffers(init_y_novel):
+    # a one-iteration fit leaves the start's buffers in the preparation; a
+    # fit that reaches a second iteration drops them, and the next fit
+    # builds them again to the same bits. The k-means start keeps its
+    # labels in iteration 1, so J1 reads the held residuals; the random
+    # start moves them
+    ds = _overlapping_blobs()
+    once = SolverConfig(seed=0, max_iter=1, init_y_novel=init_y_novel)
+    iterated = dataclasses.replace(once, tol=0.0, max_iter=3)
+    solver._prepare.cache_clear()
+    fit(ds, once)
+    prep = _held_start(ds, once)
+    held = weakref.ref(prep.buffers.cost)
+    assert fit(ds, iterated).iterations == 3
+    gc.collect()
+    assert held() is None and prep.buffers is None
+    warm = [fit(ds, cfg) for cfg in (once, iterated)]
+    assert _held_start(ds, once) is prep
+    for cfg, result in zip((once, iterated), warm):
+        _assert_same_fit(result, _fresh_fit(ds, cfg))
+
+
+def test_the_held_start_cost_and_residuals_are_read_only():
+    ds = _overlapping_blobs()
+    cfg = SolverConfig(seed=0, max_iter=1)
+    _fresh_fit(ds, cfg)
+    prep = _held_start(ds, cfg)
+    with pytest.raises(ValueError, match="read-only"):
+        prep.buffers.cost[0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        prep.residuals[0] = 0.0
 
 
 def test_objective_value_keeps_no_dataset_alive():
