@@ -48,7 +48,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except (DatasetError, OSError, ValueError) as exc:
+    # MemoryError and OverflowError: a size too large to allocate or to
+    # hold in a 64-bit integer, such as synth --per-class 1e17
+    except (DatasetError, OSError, ValueError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

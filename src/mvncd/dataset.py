@@ -168,11 +168,10 @@ def _class_split(labels: np.ndarray, num_classes: int,
     if known_classes is None:
         known_ids = split_known_novel(labels, k)[0]
     else:
-        known_ids = np.asarray(known_classes, dtype=int).ravel()
+        known_ids = np.asarray(known_classes).ravel()
         if known_ids.size == 0:
             raise DatasetError("known_classes must not be empty")
-        if known_ids.min() < 0 or known_ids.max() >= k:
-            raise DatasetError(f"known class ids must lie in [0, {k})")
+        known_ids = _integer_labels(known_ids, k, "known class ids")
     is_known_class = np.zeros(k, dtype=bool)
     is_known_class[known_ids] = True
     novel = np.flatnonzero(~is_known_class)
@@ -203,17 +202,26 @@ def _column_blocks(x: np.ndarray) -> list[slice]:
     return [slice(c, min(c + step, x.shape[1])) for c in range(0, x.shape[1], step)]
 
 
-def _integer_labels(labels: np.ndarray, k: int) -> np.ndarray:
-    """``labels`` as integers in [0, k), or a DatasetError. The range is
-    checked before a float array is cast, so a value beyond the integer
-    range is reported as itself and not as what the cast made of it."""
+def _integer_labels(labels: np.ndarray, k: int, what: str = "labels") -> np.ndarray:
+    """``labels`` as integers in [0, k), or a DatasetError that names them
+    ``what``. The range is checked before a float array is cast, so a value
+    beyond the integer range is reported as itself and not as what the
+    cast made of it; Python ints past 64 bits, which numpy holds as
+    objects, are checked as floats."""
+    if labels.dtype == object:
+        try:
+            labels = labels.astype(float)
+        except OverflowError:   # an int past the float range, so past k
+            raise DatasetError(f"{what} must lie in [0, {k})") from None
+    if labels.dtype.kind not in "biuf":
+        raise DatasetError(f"{what} must be integers")
     is_int = np.issubdtype(labels.dtype, np.integer)
     if not is_int and not np.all(labels == np.floor(labels)):
-        raise DatasetError("labels must be integers")
+        raise DatasetError(f"{what} must be integers")
     lo, hi = labels.min(), labels.max()
     if lo < 0 or hi >= k:
         fmt = "d" if is_int else ".15g"
-        raise DatasetError(f"labels must lie in [0, {k}), got range "
+        raise DatasetError(f"{what} must lie in [0, {k}), got range "
                            f"[{lo:{fmt}}, {hi:{fmt}}]")
     return labels if is_int else labels.astype(int)
 

@@ -225,13 +225,16 @@ class _Preparation:
 @functools.lru_cache(maxsize=1)
 def _prepare(ds: MultiViewDataset, normalize: str, ablate_labeled: bool,
              seed: int, init_y_novel: str) -> _Preparation:
-    """The start of every fit of ``ds`` under these settings. None of it
-    depends on the lambdas, so the last is cached (it holds ``ds``, which
-    hashes by identity) and a sweep prepares once. Callers mutate only
-    its ``buffers`` slot; :func:`fit` and :func:`initialize` copy the
-    state. Each basis is the Q factor of its view's class sums S_v, so
+    """The iteration-0 state of every fit of ``ds`` under these settings:
+    the start iterate, its class statistics and its read-only residuals,
+    from which :func:`fit` enters its loop. None of it depends on the
+    lambdas, so the last is cached (it holds ``ds``, which hashes by
+    identity) and a sweep prepares once. Callers mutate only its
+    ``buffers`` slot; :func:`fit` and :func:`initialize` copy the state.
+    Each basis is the Q factor of its view's class sums S_v, so
     basis @ centroids = S_v / (counts + RIDGE) minimizes both blocks
-    exactly."""
+    exactly, and an iteration that keeps the start's assignment keeps all
+    of it."""
     prob = _build_problem(ds, normalize, ablate_labeled)
     y = _initial_assignment(prob, seed, init_y_novel)
     stats = class_stats(prob.xs, y, prob.num_classes, prob.totals)
@@ -481,17 +484,15 @@ def objective_value(state: ModelState, ds: MultiViewDataset,
     preprocessing fit applies: normalization and the labeled-ablation
     restriction)."""
     prob = _build_problem(ds, cfg.normalize, cfg.ablate_labeled)
-    return _objective(state, prob, cfg,
-                      class_stats(prob.xs, state.y, prob.num_classes, prob.totals))
+    stats = class_stats(prob.xs, state.y, prob.num_classes, prob.totals)
+    return _objective(state, prob, cfg, _residuals(stats, _maps(state)))
 
 
 def _objective(state: ModelState, prob: _Problem, cfg: SolverConfig,
-               stats: ClassStats, residuals: np.ndarray | None = None) -> float:
-    """Objective of ``state``, whose assignment has class statistics
-    ``stats``; ``residuals`` are its per-view reconstruction errors when the
-    caller already has them."""
-    if residuals is None:
-        residuals = _residuals(stats, _maps(state))
+               residuals: np.ndarray) -> float:
+    """Objective of ``state`` from ``residuals``, the per-view
+    reconstruction errors of its maps and assignment. Its callers hold
+    them already, so it recomputes no block."""
     total = 0.0
     for w, r in zip(state.view_weights.tolist(), residuals.tolist()):
         total += w * w * r
@@ -517,20 +518,21 @@ def fit(ds: MultiViewDataset, cfg: SolverConfig) -> FitResult:
 
     Block order per iteration: bases, centroids, assignments (labeled then
     unlabeled columns), view weights. Stops when the relative objective
-    change |J_prev - J| / (|J_prev| + 1) drops below cfg.tol. The views are
-    read only when the assignment moves, to rebuild its class statistics
-    and the views' projection onto the class frames; every block and the
-    objective work from those, so an iteration that keeps the assignment
-    costs k x V*k multiply-adds per sample. Nor does such an iteration run
-    the basis and centroid updates: the start, and one update of each after
-    a move, are the exact minimum of both blocks for the assignment, which
-    further updates would keep bit for bit (see :func:`update_basis`).
+    change |J_prev - J| / (|J_prev| + 1) drops below cfg.tol.
 
-    Iteration 1 scores the start's assignment cost and J0 reads its
-    residuals, which the cached preparation holds for every fit whatever
-    the lambdas (the weights and J1 too while iteration 1 moves no label).
-    A fit that reaches a second iteration drops the held cost first, so it
-    holds one k x n cost at a time.
+    A block is recomputed only when the last label update moved what it
+    reads. The loop enters from the preparation's iteration-0 state: the
+    start iterate, its class statistics and residuals, and its read-only
+    assignment cost, which the first fit that needs it builds. A move of
+    the assignment rebuilds the class statistics, the one read of the
+    views, and the residuals; the next iteration then refits the bases and
+    centroids, whose new maps need the residuals once more. An iteration
+    that moves nothing would recompute all of them bit for bit, since the
+    start, and one update of each block after a move, are already their
+    exact minimum (see :func:`update_basis`); it builds only the k x n
+    assignment cost for the new weights, k x V*k multiply-adds per sample.
+    Each iteration after the first drops the start's held cost before it
+    builds its own, so a fit holds one k x n cost at a time.
 
     ``ds`` and its arrays are treated as immutable, since the last
     preparation is reused for the same ``ds``. After changing data in
@@ -540,27 +542,23 @@ def fit(ds: MultiViewDataset, cfg: SolverConfig) -> FitResult:
     _check_lambda2(ds, cfg)
     prep = _prepare(ds, cfg.normalize, cfg.ablate_labeled, cfg.seed,
                     cfg.init_y_novel)
-    prob, stats = prep.prob, prep.stats
+    prob, stats, residuals = prep.prob, prep.stats, prep.residuals
     state = copy.deepcopy(prep.state)
 
-    trace = [_objective(state, prob, cfg, stats, prep.residuals)]
+    trace = [_objective(state, prob, cfg, residuals)]
     alphas = [state.view_weights.copy()]
-    converged = False
-    moved = False
+    buffers = prep.buffers   # read once: another fit may drop the held one
+    if buffers is None:
+        buffers = make_buffers(prep.state, prob.xs, prob.label_counts, stats)
+        buffers.cost.flags.writeable = False
+        prep.buffers = buffers
+    converged = moved = False
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
-        if iterations == 1:
-            buffers = prep.buffers
-            if buffers is None:
-                buffers = make_buffers(prep.state, prob.xs, prob.label_counts,
-                                       stats)
-                buffers.cost.flags.writeable = False
-                prep.buffers = buffers
-        else:
-            # dropped before the next cost is built, so a fit that
-            # iterates holds one k x n cost at a time, as without the cache
-            prep.buffers = None
-            if moved:
+        refitted = moved
+        if buffers is None:   # every iteration after the first
+            prep.buffers = None   # so a fit holds one k x n cost at a time
+            if refitted:
                 update_basis(state, prob.xs, stats)
                 update_centroids(state, prob.xs, stats)
             buffers = make_buffers(state, prob.xs, prob.label_counts, stats)
@@ -573,13 +571,11 @@ def fit(ds: MultiViewDataset, cfg: SolverConfig) -> FitResult:
         moved = not np.array_equal(previous_y, state.y)
         if moved:
             stats = class_stats(prob.xs, state.y, prob.num_classes, prob.totals)
-        if iterations == 1 and not moved:
-            residuals = prep.residuals   # the start's maps and assignment
-        else:
+        if moved or refitted:
             residuals = compute_residuals(buffers, state.y, stats)
-        del buffers   # the next iteration's k x n cost is built without this one
+        buffers = None   # the next cost is built without this one
         update_view_weights(state, residuals, cfg.ablate_alpha)
-        current = _objective(state, prob, cfg, stats, residuals)
+        current = _objective(state, prob, cfg, residuals)
         trace.append(current)
         alphas.append(state.view_weights.copy())
         previous = trace[-2]

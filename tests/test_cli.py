@@ -170,6 +170,20 @@ def test_num_classes_the_class_split_cannot_hold_is_refused(tmp_path, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("known", ["100000000000000000000", "-100000000000000000000"])
+@pytest.mark.parametrize("command", ["run", "eval"])
+def test_known_class_ids_past_64_bits_are_refused(tmp_path, command, known):
+    argv = {"run": ["--out", str(tmp_path / "out")],
+            "eval": ["--assignment", str(FIXTURE_DIR / "labels.csv")]}[command]
+    code, stdout, stderr = run_cli([command, "--data", str(FIXTURE_DIR),
+                                    "--known-classes", known, *argv])
+    shown = f"{float(known):.15g}"
+    assert code == 2 and stdout == ""
+    assert stderr == (f"error: known class ids must lie in [0, 4), "
+                      f"got range [{shown}, {shown}]\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("view_file", ["present", "absent"])
 @pytest.mark.parametrize("command", ["run", "eval"])
 def test_a_declared_dim_counts_only_up_to_what_its_file_holds(tmp_path, command,
@@ -585,6 +599,21 @@ def test_synth_names_a_non_finite_value(tmp_path, flag, value):
     assert code == 2
     assert stderr.startswith(
         f"error: {flag.lstrip('-')} must be finite and >= 0, got {value}")
+    assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--per-class", "100000000000000000"],     # 2.78 EiB of labels
+    ["--per-class", "10000000000000000000"],   # past 64 bits
+    ["--dims", "100000000000000000"],          # 2.78 EiB of class means
+    ["--classes", "1000000000000000000"],      # 6.94 EiB of class ids
+], ids=["per-class", "per-class-past-64-bits", "dims", "classes"])
+def test_synth_refuses_a_size_too_large_to_allocate(tmp_path, flags):
+    # each request is an EiB or more, past any address space, so numpy
+    # refuses it before it touches memory
+    code, stdout, stderr = run_cli(["synth", *flags, "--out", str(tmp_path / "data")])
+    assert code == 2 and stdout == ""
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
     assert not (tmp_path / "data").exists()
 
 

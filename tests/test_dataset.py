@@ -124,7 +124,8 @@ def test_declared_dim_counts_up_to_the_columns_its_file_can_hold(tmp_path):
 @st.composite
 def _split_inputs(draw):
     """make_dataset's arguments, mostly valid, so that each refusal and a
-    dataset are all drawn often; num_classes and known ids up to 2**62."""
+    dataset are all drawn often; num_classes up to 2**62, and known ids
+    past 64 bits or not integers."""
     num_classes = draw(st.integers(2, 10) | st.integers(-1, 2**62))
     top = min(max(num_classes, 1), 10)
     labels = draw(st.lists(st.integers(0, top - 1), min_size=1, max_size=12))
@@ -132,7 +133,9 @@ def _split_inputs(draw):
     if stray is not None:
         labels.insert(draw(st.integers(0, len(labels))), stray)
     known = draw(st.none() | st.lists(st.integers(0, top - 1), min_size=1, max_size=4)
-                 | st.lists(st.integers(-1, top) | st.integers(0, 2**62), max_size=4))
+                 | st.lists(st.integers(-1, top) | st.integers(0, 2**62)
+                            | st.integers(-2**100, 2**100)
+                            | st.floats(-1, top, allow_nan=False), max_size=4))
     columns = max(0, len(labels) + draw(st.just(0) | st.integers(-1, 1)))
     views = [np.zeros((d, columns))
              for d in draw(st.lists(st.integers(1, 16), min_size=1, max_size=3))]
@@ -189,6 +192,21 @@ def test_label_range_checked_before_integer_cast(labels, shown):
         with pytest.raises(DatasetError,
                            match=re.escape(f"labels must lie in [0, 4), got range {shown}")):
             make_dataset([np.zeros((3, 4))], labels, 4)
+
+
+@pytest.mark.parametrize("known, message", [
+    ([1.5], "known class ids must be integers"),
+    ([0, 2.5], "known class ids must be integers"),
+    ([2**70], "known class ids must lie in [0, 4), got range "
+              "[1.18059162071741e+21, 1.18059162071741e+21]"),
+    ([-10**20, 1], "known class ids must lie in [0, 4), got range [-1e+20, 1]"),
+    ([10**400], "known class ids must lie in [0, 4)"),
+])
+def test_known_class_ids_pass_the_labels_rule(known, message):
+    # checked before the cast, which would take 1.5 for 1 and overflow
+    # past 64 bits
+    with pytest.raises(DatasetError, match=re.escape(message)):
+        make_dataset([np.zeros((3, 4))], np.array([0, 1, 2, 3]), 4, known)
 
 
 def test_class_sets_match_set_routines():

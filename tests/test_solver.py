@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    FIXTURE_DIR,
     naive_objective,
     objective_lower_bound,
     random_dataset,
@@ -23,6 +24,7 @@ from mvncd.dataset import (
     SyntheticSpec,
     encode_onehot,
     generate_synthetic,
+    load_dataset,
     make_dataset,
     normalize_features,
     unlabeled_subset,
@@ -973,6 +975,22 @@ def test_fit_leaves_the_prepared_state_untouched():
         basis[:] = 0.0
         centroids[:] = 0.0
     _assert_same_fit(fit(ds_b, cfg), fresh_b)
+
+
+@pytest.mark.parametrize("init_y_novel, calls", [("kmeans", 0), ("random", 2)])
+def test_fit_recomputes_residuals_only_when_the_assignment_or_the_maps_move(
+        monkeypatch, init_y_novel, calls):
+    # the k-means start keeps its labels, so every iteration reuses the
+    # start's residuals; the random start moves labels in iteration 1 and
+    # refits the maps in iteration 2, and nothing moves after that
+    ds = load_dataset(FIXTURE_DIR)
+    cfg = SolverConfig(tol=0.0, max_iter=5, init_y_novel=init_y_novel)
+    counted = []
+    real = solver.compute_residuals
+    monkeypatch.setattr(solver, "compute_residuals",
+                        lambda *args: counted.append(args) or real(*args))
+    assert fit(ds, cfg).iterations == 5
+    assert len(counted) == calls
 
 
 def test_public_blocks_replay_fit_bit_for_bit_while_labels_move():
