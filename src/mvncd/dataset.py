@@ -1,8 +1,9 @@
 """Multi-view dataset handling: loading, validation, normalization, splits.
 
 In memory every view keeps samples as columns (a view is d_v x n). On disk
-the layout is the usual one-sample-per-row CSV; matrices are transposed on
-load and again on write.
+the layout is the usual one-sample-per-row CSV. A loaded view is C-ordered,
+a feature's values contiguous, as the parse cache keeps it: the parse
+transposes the file's rows into it, and a write transposes it back.
 """
 
 from __future__ import annotations
@@ -28,9 +29,11 @@ _MIN_RANGE_BYTES = 1 << 21
 # The parse of a CSV large enough to be split is kept beside it in this
 # directory, so that later loads of the same bytes read no text.
 _CACHE_DIR = ".mvncd_cache"
-# Part of every cache key: the parse rules an entry was made under. Change
-# it whenever _loadtxt or _parse_in_ranges's range split parse differently.
-_PARSE_FORMAT = "mvncd parse 1: loadtxt delimiter=',' ndmin=2 dtype=float64, rows in file order"
+# Part of every cache key: the parse rules an entry was made under and the
+# layout it holds. Change it whenever _loadtxt or _parse_in_ranges's range
+# split parse differently, or the layout of _parse_csv's result changes.
+_PARSE_FORMAT = ("mvncd parse 2: loadtxt delimiter=',' ndmin=2 dtype=float64, "
+                 "transposed to a C-order row per file column, samples in file order")
 # Views are looked up, checked and normalized on up to this many threads
 # per usable CPU. The work releases the GIL (SHA-256, file reads, ufuncs),
 # and more threads than CPUs share the CPUs evenly: three views on two
@@ -189,8 +192,11 @@ def _checked_view(arr: np.ndarray, i: int, n: int) -> np.ndarray:
         raise DatasetError(f"view {i}: expected a 2-d matrix, got ndim={arr.ndim}")
     if arr.shape[1] != n:
         raise DatasetError(f"view {i}: has {arr.shape[1]} samples, labels have {n}")
-    # a block of columns at a time, so the mask stays small at any shape
-    if not all(np.isfinite(arr[:, cols]).all() for cols in _column_blocks(arr)):
+    # a block of lines at a time, so the mask stays small at any shape; the
+    # lines run along the contiguous axis, so a block is one run of memory
+    # and not a strided slice of every row of a wide C-ordered view
+    lines = arr.T if arr.strides[0] > arr.strides[1] else arr
+    if not all(np.isfinite(lines[:, cols]).all() for cols in _column_blocks(lines)):
         raise DatasetError(f"view {i}: contains non-finite values")
     return arr
 
@@ -383,20 +389,20 @@ def load_dataset(path: str | Path, known_classes: Sequence[int] | None = None,
     entries, split = read_manifest(path, known_classes)
     n = split["labels"].size
     found = _each_view(lambda i: _cache_lookup(entries[i][0]), len(entries))
-    arrays = []   # d x n
+    arrays = []   # d x n, C order
     for i, ((csv, dim), (arr, _)) in enumerate(zip(entries, found)):
         if arr is None:
             arr = _parse_csv(csv, f"view {i}")
-        if arr.shape[1] != dim:
-            raise DatasetError(f"view {i}: file has {arr.shape[1]} feature "
+        if arr.shape[0] != dim:
+            raise DatasetError(f"view {i}: file has {arr.shape[0]} feature "
                                f"columns, manifest declares {dim}")
-        arrays.append(arr.T)
+        arrays.append(arr)
 
     def finish(i: int) -> ViewMatrix:
         data = _checked_view(arrays[i], i, n)
         hit, cache = found[i]
         if hit is None and cache:   # a miss: its parse, before it is normalized in place
-            cache.store(data.T)
+            cache.store(data)
         return ViewMatrix(data=_normalize_view(data, data, normalize, i))
     views = _each_view(finish, len(entries))
     return MultiViewDataset(views=tuple(views), normalization=normalize, **split)
@@ -497,9 +503,9 @@ def read_integers(path: str | Path, what: str) -> np.ndarray:
     writes nothing. Every refusal is a DatasetError whose message starts
     with ``what``."""
     raw = _parse_csv(Path(path), what)
-    if raw.shape[1] != 1:
+    if raw.shape[0] != 1:
         raise DatasetError(f"{what}: must hold one integer per line")
-    values = raw[:, 0]
+    values = raw[0]
     if not np.all(np.isfinite(values)):
         raise DatasetError(f"{what}: contains non-finite values")
     if not np.all(values == np.floor(values)):
@@ -527,38 +533,42 @@ def _loadtxt(source) -> np.ndarray:
 
 
 def _parse_csv(path: Path, what: str) -> np.ndarray:
-    """Parse ``path`` under :func:`_loadtxt`'s rule; it reads the text every
-    time, and the parse cache is the caller's. A path that is not a file is
-    refused here as "<what>: file not found".
+    """Parse ``path`` under :func:`_loadtxt`'s rule into a C-order array
+    that holds a row per column of the file, a view's layout; it reads the
+    text every time, and the parse cache is the caller's. A path that is
+    not a file is refused here as "<what>: file not found".
 
     A large file is parsed by forked children, one line-aligned byte range
     each; if that path does not apply or fails anywhere, the whole file is
-    parsed in-process, so results and error messages are those of the
-    serial parse either way. Call it only while no other thread of this
-    program runs: a fork copies the calling thread alone.
+    parsed in-process and the parse copied transposed, so results and
+    error messages are those of the serial parse either way. Call it only
+    while no other thread of this program runs: a fork copies the calling
+    thread alone.
     """
     if not path.is_file():
         raise DatasetError(f"{what}: file not found: {path}")
     arr = _parse_in_ranges(path)
     if arr is None:
         try:
-            arr = _loadtxt(path)
+            arr = np.ascontiguousarray(_loadtxt(path).T)
         except ValueError as exc:
             raise DatasetError(f"{what}: could not parse {path}: {exc}") from exc
-    if arr.shape[0] == 0:
+    if arr.shape[1] == 0:
         raise DatasetError(f"{what}: no data rows in {path}")
     return arr
 
 
 class _ParseCache:
     """The cached parse of one CSV, its entry: ``<csv dir>/.mvncd_cache/<csv
-    name>.npy``. The entry holds the parse as ``np.save`` writes it, then
-    its key, the 32-byte SHA-256 of ``_PARSE_FORMAT``, numpy's version and
-    the file's bytes, so an entry does not go stale while the parse rules
-    stay those of its tag; ``np.load`` of an entry gives the parse. An
-    entry is read only if it is owned by the CSV's owner or by the reading
-    user and is writable by neither group nor others. Any OSError on the
-    cache's side leaves the caller with its own parse."""
+    name>.npy``. The entry holds the parse as the loader keeps the view,
+    features x samples in C order, as ``np.save`` writes it, then its key,
+    the 32-byte SHA-256 of ``_PARSE_FORMAT``, numpy's version and the
+    file's bytes, so an entry does not go stale while the parse rules stay
+    those of its tag. ``np.load`` of an entry gives the view, and a hit is
+    read straight into the array the loader returns. An entry is read only
+    if it is owned by the CSV's owner or by the reading user and is
+    writable by neither group nor others. Any OSError on the cache's side
+    leaves the caller with its own parse."""
 
     def __init__(self, path: Path, stat: os.stat_result):
         self.path = path
@@ -582,8 +592,8 @@ class _ParseCache:
         """The cached parse, or None. The file is hashed only when it has a
         trusted entry. An entry that is absent, not trusted or unreadable,
         whose last 32 bytes are not the key, or whose header is not the
-        ``.npy`` 1.0 header ``np.save`` writes for a 2-d C-order float64
-        array with a row that ends where the key begins is a miss; it is
+        ``.npy`` 1.0 header ``np.save`` writes for a non-empty 2-d C-order
+        float64 array that ends where the key begins is a miss; it is
         checked before the array is allocated, so one that overstates the
         entry's size is a miss too."""
         try:
@@ -603,7 +613,7 @@ class _ParseCache:
                 if np.lib.format.read_magic(f) != (1, 0):
                     return None
                 shape, fortran, dtype = np.lib.format.read_array_header_1_0(f)
-                if (len(shape) != 2 or fortran or dtype != np.float64 or shape[0] < 1
+                if (len(shape) != 2 or fortran or dtype != np.float64 or 0 in shape
                         or f.tell() + shape[0] * shape[1] * 8 != entry_stat.st_size - 32):
                     return None
                 arr = np.empty(shape)
@@ -635,8 +645,9 @@ def _usable_cpus() -> int:
 
 def _parse_in_ranges(path: Path) -> np.ndarray | None:
     """Parse ``path`` in one forked child per line-aligned byte range and
-    assemble the rows in one array; None when the file is not split, or a
-    child fails, yields no rows or disagrees on the column count."""
+    assemble the rows, transposed, in one C-order array of a row per file
+    column; None when the file is not split, or a child fails, yields no
+    rows or disagrees on the column count."""
     size = path.stat().st_size
     parts = min(_usable_cpus(), size // _MIN_RANGE_BYTES)
     if parts < 2 or not hasattr(os, "fork"):
@@ -688,12 +699,18 @@ def _parse_in_ranges(path: Path) -> np.ndarray | None:
                 return None
         if np.any(shapes[:, 0] == 0) or np.any(shapes[:, 1] != shapes[0, 1]):
             return None
-        out = np.empty((int(shapes[:, 0].sum()), int(shapes[0, 1])))
+        out = np.empty((int(shapes[0, 1]), int(shapes[:, 0].sum())))
+        # a child's rows come through one buffer of a column block's size,
+        # a block at a time, into their columns: no second view-sized array
+        buf = np.empty((_column_blocks(out)[0].stop, out.shape[0]))
         ends = np.cumsum(shapes[:, 0])
         for (_, pipe), end, rows in zip(children, ends, shapes[:, 0]):
-            part = out[end - rows:end]
-            if pipe.readinto(part) != part.nbytes:
-                return None
+            part = out[:, end - rows:end]
+            for cols in _column_blocks(part):
+                rows_in = buf[:cols.stop - cols.start]
+                if pipe.readinto(rows_in) != rows_in.nbytes:
+                    return None
+                part[:, cols] = rows_in.T
         return out
     except OSError:
         return None

@@ -409,7 +409,9 @@ def test_run_peak_memory_stays_near_one_copy_of_the_views(tmp_path):
     # parsed by forked children on two or more CPUs). Measured on 2 vCPUs
     # with OpenBLAS, 3 runs each: 2.55-2.57x the views' bytes while k-means
     # clustered a stacked copy of the unlabeled samples (half of them here,
-    # so 0.5x), 2.11x with k-means on the views in place. The bound keeps
+    # so 0.5x), 2.11x with k-means on the views in place, and later
+    # 1.87-1.92x, cold and warm, with views loaded sample-major or
+    # feature-major. The bound keeps
     # that copy from coming back, also for a second run that reads the
     # views from the parse cache the first one wrote.
     pytest.importorskip("resource")

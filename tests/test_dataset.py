@@ -32,6 +32,7 @@ from mvncd.dataset import (
     write_dataset,
 )
 from mvncd.metrics import clustering_accuracy
+from mvncd.solver import SolverConfig, fit
 
 
 def _tiny(num_classes=4, per_class=3, dims=(5, 6), seed=0):
@@ -176,6 +177,20 @@ def test_finiteness_is_checked_a_block_of_columns_at_a_time(col):
         x[37, col] = np.nan
         with pytest.raises(DatasetError, match="^view 0: contains non-finite values$"):
             dataset._checked_view(x, 0, 20_000)
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_finiteness_is_checked_a_contiguous_block_at_a_time(monkeypatch, layout):
+    # blocks of whole rows of a C-ordered view, as load_dataset returns one,
+    # and of whole columns of an F-ordered one
+    x = np.asarray(np.random.default_rng(0).standard_normal((2_000, 300)), order=layout)
+    real, blocks = np.isfinite, []
+    monkeypatch.setattr(np, "isfinite", lambda a: blocks.append(a.flags.forc) or real(a))
+    dataset._checked_view(x, 0, 300)
+    assert len(blocks) > 1 and all(blocks)
+    x[1_999, 299] = np.nan
+    with pytest.raises(DatasetError, match="^view 0: contains non-finite values$"):
+        dataset._checked_view(x, 0, 300)
 
 
 @pytest.mark.parametrize("labels, shown", [
@@ -600,13 +615,17 @@ def parse_paths(tmp_path_factory):
     at least 4 MiB, two ranges of the minimum length) and a small one that
     is parsed in-process."""
     root = tmp_path_factory.mktemp("parse_paths")
-    big = generate_synthetic(SyntheticSpec(views=2, classes=4, per_class=850,
-                                           dims=(64, 5), seed=3))
-    small = _tiny(per_class=20, dims=(7, 9), seed=4)
-    write_dataset(big, root / "forked")
-    write_dataset(small, root / "in-process")
+    for parse, make in _PARSE_PATH_DATA.items():
+        write_dataset(make(), root / parse)
     assert (root / "forked" / "view_0.csv").stat().st_size >= 4 << 20
     return root
+
+
+_PARSE_PATH_DATA = {
+    "forked": lambda: generate_synthetic(SyntheticSpec(views=2, classes=4, per_class=850,
+                                                       dims=(64, 5), seed=3)),
+    "in-process": lambda: _tiny(per_class=20, dims=(7, 9), seed=4),
+}
 
 
 @pytest.mark.parametrize("mode", ["zscore", "l2", "none"])
@@ -632,7 +651,7 @@ def test_load_normalized_equals_normalize_after_load(
     assert normalize_features(loaded, mode) is loaded
     assert np.array_equal(loaded.labels, expected.labels)
     for got, want in zip(loaded.views, expected.views):
-        assert got.data.flags.f_contiguous and want.data.flags.f_contiguous
+        assert got.data.flags.c_contiguous and want.data.flags.c_contiguous
         assert got.data.tobytes("A") == want.data.tobytes("A")
 
 
@@ -653,8 +672,26 @@ def test_cache_hit_loads_the_bits_of_the_parse(parse_paths, monkeypatch, mode):
     assert "view_0.csv" not in parsed and "view_1.csv" in parsed
     assert hit.normalization == mode
     for got, want in zip(hit.views, missed.views):
-        assert got.data.flags.f_contiguous and want.data.flags.f_contiguous
+        assert got.data.flags.c_contiguous and want.data.flags.c_contiguous
         assert got.data.tobytes("A") == want.data.tobytes("A")
+
+
+@pytest.mark.parametrize("init", ["kmeans", "random"])
+@pytest.mark.parametrize("parse", ["forked", "in-process"])
+def test_a_loaded_dataset_fits_bit_for_bit_as_its_source(parse_paths, monkeypatch,
+                                                          parse, init):
+    # a loaded view is C-ordered as a generated one is, so both fits run the
+    # same products on the same layout
+    monkeypatch.setattr(dataset, "_usable_cpus", lambda: 2)
+    path = parse_paths / parse
+    shutil.rmtree(path / dataset._CACHE_DIR, ignore_errors=True)
+    cfg = SolverConfig(init_y_novel=init)
+    want = fit(_PARSE_PATH_DATA[parse](), cfg)
+    got = fit(load_dataset(path, normalize=cfg.normalize), cfg)
+    assert got.iterations == want.iterations
+    assert got.objective_trace == want.objective_trace
+    assert [a.tobytes() for a in got.alpha_trace] == [a.tobytes() for a in want.alpha_trace]
+    assert np.array_equal(got.novel_assignment, want.novel_assignment)
 
 
 def test_load_refuses_unknown_normalization(tmp_path):
@@ -746,8 +783,9 @@ def test_parallel_parse_bit_identical_to_loadtxt(tmp_path, split_ranges, case):
     parallel = dataset._parse_in_ranges(path)
     _assert_no_child_left()
     assert parallel is not None, "the file was not split"
-    expected = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
-    assert parallel.shape == expected.shape
+    # a row per column of the file, as a view is kept
+    expected = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float).T
+    assert parallel.shape == expected.shape and parallel.flags.c_contiguous
     assert parallel.tobytes() == expected.tobytes()
     assert dataset._parse_csv(path, "view 0").tobytes() == expected.tobytes()
     _assert_no_child_left()
@@ -830,7 +868,7 @@ def test_a_fork_loses_no_child(tmp_path, monkeypatch, split_ranges, fault):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             parallel = dataset._parse_in_ranges(path)
-        expected = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+        expected = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float).T
         assert parallel is not None and parallel.tobytes() == expected.tobytes()
     else:
         def interrupted_open(file, *args, **kwargs):
@@ -876,11 +914,12 @@ def _saved(arr, version=None):
     return buf.getvalue()
 
 
-def _overstated(arr, rows):
-    """``_saved(arr)`` with a header that claims ``rows`` rows."""
+def _overstated(arr, samples):
+    """``_saved(arr)``, a view's entry, with a header that claims ``samples``
+    samples (columns)."""
     buf = io.BytesIO()
     np.lib.format.write_array_header_1_0(buf, {"descr": "<f8", "fortran_order": False,
-                                               "shape": (rows, arr.shape[1])})
+                                               "shape": (arr.shape[0], samples)})
     return buf.getvalue() + arr.tobytes()
 
 
@@ -904,8 +943,8 @@ def big_csv(tmp_path, big_csv_bytes):
 
 def _parse(path):
     """``path`` loaded as the one view of a dataset, through the parse
-    cache's one client, ``load_dataset``; returned in the file's layout, a
-    sample per row. The labels and the manifest go beside it."""
+    cache's one client, ``load_dataset``; returned as the loader keeps it,
+    a row per column of the file. The labels and the manifest go beside it."""
     lines = [line.split(b"#")[0].strip() for line in path.read_bytes().splitlines()]
     rows = [line for line in lines if line]
     (path.parent / "labels.csv").write_text("0\n" * len(rows))
@@ -913,7 +952,7 @@ def _parse(path):
     manifest.write_text(json.dumps({
         "views": [{"path": path.name, "dim": rows[0].count(b",") + 1}],
         "labels": "labels.csv", "num_classes": 2}))
-    return load_dataset(manifest).views[0].data.T
+    return load_dataset(manifest).views[0].data
 
 
 @pytest.mark.parametrize("below", [1, 0], ids=["one byte under 4 MiB", "4 MiB"])
@@ -936,7 +975,7 @@ def test_rewritten_csv_of_the_same_size_and_mtime_is_a_miss(big_csv):
     assert (big_csv.stat().st_size, big_csv.stat().st_mtime_ns) == (
         stat.st_size, stat.st_mtime_ns)
     got = _parse(big_csv)
-    assert got.tobytes() == np.loadtxt(big_csv, delimiter=",", ndmin=2).tobytes()
+    assert got.tobytes() == np.loadtxt(big_csv, delimiter=",", ndmin=2).T.tobytes()
     assert _cache_names(big_csv.parent) == ["view.csv.npy"]
     assert _entry_of(big_csv).read_bytes()[-32:] != old
     assert np.load(_entry_of(big_csv)).tobytes() == got.tobytes()
@@ -960,16 +999,17 @@ def test_unreadable_entry_is_a_miss_and_is_replaced(big_csv, damage):
     else:
         saved = _saved(want)
         # "key read as data" is short by one key: an array read on to the
-        # end of the file would take the key for its last four values.
-        # "overstated rows" claims 6 TB of rows, which np.load would try to
-        # allocate before it read a value. "version 2.0" is the right array
-        # in a format np.save never writes for it
+        # end of the file would take the key for its last four values. "no
+        # rows" holds no samples. "overstated rows" claims 6 TB of samples,
+        # which np.load would try to allocate before it read a value.
+        # "version 2.0" is the right array in a format np.save never writes
+        # for it
         bad = {"truncated": lambda: saved[:len(saved) // 2],
                "key read as data": lambda: saved[:-32],
                "float32": lambda: _saved(want.astype(np.float32)),
                "fortran": lambda: _saved(np.asfortranarray(want)),
                "object": lambda: _saved(np.array([None, want], dtype=object)),
-               "no rows": lambda: _saved(want[:0]),
+               "no rows": lambda: _saved(want[:, :0]),
                "overstated rows": lambda: _overstated(want, 12 * 10**9),
                "version 2.0": lambda: _saved(want, version=(2, 0))}[damage]()
         entry.write_bytes(bad + key)
@@ -993,7 +1033,7 @@ def test_cache_dir_that_is_a_file_leaves_a_normal_load(big_csv):
     blocker = big_csv.parent / dataset._CACHE_DIR
     blocker.write_text("not a directory\n")
     got = _parse(big_csv)
-    assert got.tobytes() == np.loadtxt(big_csv, delimiter=",", ndmin=2).tobytes()
+    assert got.tobytes() == np.loadtxt(big_csv, delimiter=",", ndmin=2).T.tobytes()
     assert blocker.read_text() == "not a directory\n"
 
 
@@ -1012,7 +1052,7 @@ def test_csv_touched_during_the_parse_writes_no_entry(big_csv, monkeypatch):
         os.utime(path, ns=(0, path.stat().st_mtime_ns + 10**9))
         return arr
     monkeypatch.setattr(dataset, "_parse_in_ranges", touching)
-    assert _parse(big_csv).tobytes() == np.loadtxt(big_csv, delimiter=",", ndmin=2).tobytes()
+    assert _parse(big_csv).tobytes() == np.loadtxt(big_csv, delimiter=",", ndmin=2).T.tobytes()
     assert not (big_csv.parent / dataset._CACHE_DIR).exists()
 
 
@@ -1080,7 +1120,7 @@ def test_store_never_writes_through_a_planted_temporary_name(big_csv, monkeypatc
     cache.dir.mkdir()
     planted = cache.dir / f".{cache.entry.name}.{'5a' * 8}.tmp"
     planted.symlink_to(victim)
-    assert _parse(big_csv).tobytes() == np.loadtxt(big_csv, delimiter=",", ndmin=2).tobytes()
+    assert _parse(big_csv).tobytes() == np.loadtxt(big_csv, delimiter=",", ndmin=2).T.tobytes()
     assert victim.read_text() == "keep me\n"
     assert _cache_names(big_csv.parent) == [planted.name]
 
@@ -1158,7 +1198,7 @@ def test_threaded_load_equals_a_one_worker_load(three_big_views, monkeypatch, mo
         assert len({thread for thread, _ in calls}) == 3
         assert got.normalization == want.normalization == mode
         for a, b in zip(got.views, want.views):
-            assert a.data.flags.f_contiguous and b.data.flags.f_contiguous
+            assert a.data.flags.c_contiguous and b.data.flags.c_contiguous
             assert a.data.tobytes("A") == b.data.tobytes("A")
 
 

@@ -211,8 +211,9 @@ def test_start_is_the_block_minimum_of_its_assignment():
 def _shuffled_blobs(layout, per_class=300, dims=(40, 60), separation=4.0,
                     seed=0):
     """Blob data with the samples in random order, so the unlabeled
-    indices are scattered, and the views in ``layout`` order ("F" is what
-    load_dataset returns)."""
+    indices are scattered, and the views in ``layout`` order ("C" is what
+    load_dataset and generate_synthetic return, "F" a sample-major array
+    passed as its transpose)."""
     base = generate_synthetic(SyntheticSpec(views=len(dims), classes=8,
                                             per_class=per_class, dims=dims,
                                             separation=separation,
