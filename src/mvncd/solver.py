@@ -5,8 +5,10 @@ The model factorizes every view as (orthonormal basis) x (centroids) x
 a simplex-constrained weight per view. Labeled samples pull their assignment
 toward the ground truth; unlabeled samples pay a penalty for landing on a
 class that owns labeled samples, which keeps novel clusters away from the
-known classes. Every block update below is the exact minimizer of its
-subproblem given the others, so the objective never increases.
+known classes. The basis update sets the bases and centroids together to
+their joint minimum given the assignment, and every other block update is
+the exact minimizer of its subproblem given the others, so the objective
+never increases.
 """
 
 from __future__ import annotations
@@ -100,22 +102,22 @@ class ClassStats:
 
     ``counts`` holds the samples per one-hot row. The d_v x k matrices are
     per-view lists: ``sums[v]`` is the class-sum matrix S_v = X_v @ Y.T,
-    ``frames`` its thin QR factors (the list of Q_v, and the k x k R_v
-    stacked over the views, so the basis update's SVD is one batched call)
-    and ``means[v]`` the class means S_v / counts (zero on empty rows).
+    ``frames[v]`` the Q factor Q_v of its thin QR, the basis that
+    :func:`update_basis` sets, and ``means[v]`` the class means
+    S_v / counts (zero on empty rows).
     ``scatter[v]`` is the within-class scatter
     W_v = sum_i ||x_i - mean_{y_i}||^2, taken from the view's own class
     sums as ||X_v||_F^2 - sum_c ||S_c||^2 / n_c, one pass over the view,
     unless that falls below ``_SCATTER_IDENTITY_MIN`` times ||X_v||_F^2,
     where the difference cancels and a blocked pass over the samples gives
     it instead. ``z`` holds the views in their class frames, rows v*k to
-    (v+1)*k being Z_v = Q_v.T @ X_v, so it is (V*k) x n; a basis in
-    span(Q_v) scores every sample through it.
+    (v+1)*k being Z_v = Q_v.T @ X_v, so it is (V*k) x n; the basis Q_v
+    scores every sample through it.
     """
 
     counts: np.ndarray
     sums: list[np.ndarray]
-    frames: tuple[list[np.ndarray], np.ndarray]
+    frames: list[np.ndarray]
     means: list[np.ndarray]
     scatter: np.ndarray
     z: np.ndarray
@@ -231,17 +233,15 @@ def _prepare(ds: MultiViewDataset, normalize: str, ablate_labeled: bool,
     lambdas, so the last is cached (it holds ``ds``, which hashes by
     identity) and a sweep prepares once. Callers mutate only its
     ``buffers`` slot; :func:`fit` and :func:`initialize` copy the state.
-    Each basis is the Q factor of its view's class sums S_v, so
-    basis @ centroids = S_v / (counts + RIDGE) minimizes both blocks
-    exactly, and an iteration that keeps the start's assignment keeps all
-    of it."""
+    Its bases and centroids are the joint minimum of its assignment, set
+    by :func:`update_basis`, so an iteration that keeps the start's
+    assignment keeps all of it."""
     prob = _build_problem(ds, normalize, ablate_labeled)
     y = _initial_assignment(prob, seed, init_y_novel)
     stats = class_stats(prob.xs, y, prob.num_classes, prob.totals)
-    start = ModelState(bases=list(stats.frames[0]),
-                       centroids=None, y=y,
+    start = ModelState(bases=None, centroids=None, y=y,
                        view_weights=np.full(len(prob.xs), 1.0 / len(prob.xs)))
-    update_centroids(start, prob.xs, stats)
+    update_basis(start, prob.xs, stats)
     residuals = _residuals(stats, _maps(start))
     residuals.flags.writeable = False
     return _Preparation(prob, start, stats, residuals)
@@ -271,7 +271,6 @@ def _initial_assignment(prob: _Problem, seed: int, init_y_novel: str) -> np.ndar
     return y
 
 
-_SPAN_TOL = 1e-12         # relative distance of the class sums from span(B_v)
 # W_v = T_v - sum_c ||S_c||^2 / n_c loses up to about 2e-15 * T_v / W_v of
 # W_v to cancellation. Measured against the blocked pass on z-scored synth
 # data (3 views; 100 x 4,000, 100 x 20,000 and 200 x 8,000), by noise level,
@@ -303,7 +302,7 @@ def class_stats(xs: list[np.ndarray], y: np.ndarray, k: int,
     sums = [x @ ymat_t for x in xs]
     means = [np.divide(s, counts, out=np.zeros_like(s), where=counts > 0)
              for s in sums]
-    q, r = zip(*map(np.linalg.qr, sums))
+    frames = [np.linalg.qr(s)[0] for s in sums]
     scatter = np.empty(len(xs))
     z = np.empty((len(xs) * k, y.size))
     for v, x in enumerate(xs):
@@ -313,9 +312,9 @@ def class_stats(xs: list[np.ndarray], y: np.ndarray, k: int,
         scatter[v] = total - float(np.einsum("ij,ij->", sums[v], means[v]))
         if not _SCATTER_IDENTITY_MIN * total <= scatter[v] < math.inf:
             scatter[v] = _within_scatter(x, y, means[v])
-        np.matmul(q[v].T, x, out=z[v * k:(v + 1) * k])
-    return ClassStats(counts=counts, sums=sums, frames=(list(q), np.stack(r)),
-                      means=means, scatter=scatter, z=z)
+        np.matmul(frames[v].T, x, out=z[v * k:(v + 1) * k])
+    return ClassStats(counts=counts, sums=sums, frames=frames, means=means,
+                      scatter=scatter, z=z)
 
 
 def _within_scatter(x: np.ndarray, y: np.ndarray, means: np.ndarray) -> float:
@@ -332,38 +331,18 @@ def _within_scatter(x: np.ndarray, y: np.ndarray, means: np.ndarray) -> float:
 
 def update_basis(state: ModelState, xs: list[np.ndarray],
                  stats: ClassStats | None = None) -> None:
-    """Per view, set the basis to the polar factor of S_v @ centroids.T,
-    with S_v = X_v @ Y.T the class sums (the orthogonal-Procrustes maximizer
-    of the trace it pairs with). With S_v = Q_v R_v that factor is Q_v times
-    the polar factor of the k x k matrix R_v @ centroids.T, so a single
-    batched SVD of the V stacked k x k matrices serves every view, whatever
-    its d_v, and only the product with Q_v is per view; this per-iteration
-    cost does not grow with n. ``stats`` are the class
-    statistics of ``state.y``; without them they are computed from
-    ``xs``.
-
-    The basis is kept, and the SVD skipped, when the centroids are the
-    least-squares centroids of the current basis (C_v = B_v.T S_v D with D
-    the inverse ridged counts, compared exactly) and the basis spans the
-    class sums (B_v B_v.T S_v = S_v to rounding): then
-    S_v @ C_v.T = B_v (B_v.T S_v D S_v.T B_v), the basis times a symmetric
-    positive semidefinite matrix, and the basis is its polar factor. That
-    holds at :func:`fit`'s start and after one basis and one centroid update
-    under an assignment, so repeating the two updates changes no bit, which
-    is why ``fit`` skips them while the assignment stays put and a caller
-    that repeats them gets the same iterate."""
+    """Per view, set the basis and the centroids to their joint minimum
+    given the assignment: the basis is Q_v, the Q factor of the class sums
+    S_v = X_v @ Y.T, and the centroids are its least-squares centroids
+    (:func:`update_centroids`). Then basis @ centroids = S_v / (counts +
+    RIDGE), the class means up to the ridge, whatever the bases and
+    centroids were before, and a second call changes no bit. ``stats`` are
+    the class statistics of ``state.y``; without them they are computed
+    from ``xs``."""
     if stats is None:
         stats = class_stats(xs, state.y, state.num_classes)
-    q, r = stats.frames
-    centroids = np.asarray(state.centroids)
-    fitted = np.stack([b.T @ s for b, s in zip(state.bases, stats.sums)])
-    if (centroids == fitted * (1.0 / (stats.counts + RIDGE))).all():
-        gaps = [b @ f - s for b, f, s in zip(state.bases, fitted, stats.sums)]
-        if all(np.einsum("ij,ij->", g, g) <= _SPAN_TOL**2 * np.einsum("ij,ij->", s, s)
-               for g, s in zip(gaps, stats.sums)):
-            return
-    u, _, vt = np.linalg.svd(r @ centroids.transpose(0, 2, 1))
-    state.bases = [qv @ polar for qv, polar in zip(q, u @ vt)]
+    state.bases = list(stats.frames)
+    update_centroids(state, xs, stats)
 
 
 def update_centroids(state: ModelState, xs: list[np.ndarray],
@@ -373,7 +352,8 @@ def update_centroids(state: ModelState, xs: list[np.ndarray],
 
     Y @ Y.T is diagonal with the per-class counts; the ridge keeps columns
     of empty classes defined (they go to ~zero). ``stats`` as in
-    :func:`update_basis`.
+    :func:`update_basis`, which ends with this update, so calling it after
+    that changes no bit.
     """
     if stats is None:
         stats = class_stats(xs, state.y, state.num_classes)
@@ -390,11 +370,11 @@ def make_buffers(state: ModelState, xs: list[np.ndarray],
     squared column norms of the maps less twice their inner products with
     the data.
 
-    With ``stats``, the class statistics of ``state.y``, the maps are
-    scored in the class frames: when every basis lies in span(Q_v), as
-    :func:`fit` keeps it, (B_v C_v).T @ X_v = (Q_v.T B_v C_v).T @ Z_v and
-    the column norms are those of Q_v.T B_v C_v, so one (k x V*k) @
-    (V*k x n) product replaces a k x d_v by d_v x n product per view.
+    With ``stats``, the class statistics of ``state.y``, every basis is
+    Q_v, as :func:`update_basis` sets it, and the maps are scored in the
+    class frames: (Q_v C_v).T @ X_v = C_v.T @ Z_v and the column norms are
+    those of C_v, so one (k x V*k) @ (V*k x n) product replaces a k x d_v
+    by d_v x n product per view.
     Without ``stats`` the maps are scored against ``xs`` directly, which
     holds for any basis: that path is the reference the tests hold the
     frame to, and the one a caller without class statistics takes.
@@ -405,7 +385,7 @@ def make_buffers(state: ModelState, xs: list[np.ndarray],
         diag = sum(w2[v] * np.einsum("ij,ij->j", m, m) for v, m in enumerate(maps))
         score = sum(w2[v] * (m.T @ xs[v]) for v, m in enumerate(maps))
     else:
-        framed = np.stack([q.T @ m for q, m in zip(stats.frames[0], maps)])
+        framed = np.asarray(state.centroids)   # Q_v.T @ maps[v]
         weighted = (w2[:, None, None] * framed).reshape(-1, framed.shape[2])
         diag = np.einsum("ij,ij->j", weighted, framed.reshape(weighted.shape))
         score = weighted.T @ stats.z
@@ -516,21 +496,22 @@ def _check_lambda2(ds: MultiViewDataset, cfg: SolverConfig) -> None:
 def fit(ds: MultiViewDataset, cfg: SolverConfig) -> FitResult:
     """Run the alternating optimization to convergence.
 
-    Block order per iteration: bases, centroids, assignments (labeled then
-    unlabeled columns), view weights. Stops when the relative objective
-    change |J_prev - J| / (|J_prev| + 1) drops below cfg.tol.
+    Block order per iteration: bases and centroids jointly, assignments
+    (labeled then unlabeled columns), view weights. Stops when the
+    relative objective change |J_prev - J| / (|J_prev| + 1) drops below
+    cfg.tol.
 
     A block is recomputed only when the last label update moved what it
     reads. The loop enters from the preparation's iteration-0 state: the
     start iterate, its class statistics and residuals, and its read-only
     assignment cost, which the first fit that needs it builds. A move of
     the assignment rebuilds the class statistics, the one read of the
-    views, and the residuals; the next iteration then refits the bases and
-    centroids, whose new maps need the residuals once more. An iteration
-    that moves nothing would recompute all of them bit for bit, since the
-    start, and one update of each block after a move, are already their
-    exact minimum (see :func:`update_basis`); it builds only the k x n
-    assignment cost for the new weights, k x V*k multiply-adds per sample.
+    views, and the residuals; the next iteration then sets the bases and
+    centroids from them (:func:`update_basis`), whose new maps need the
+    residuals once more. An iteration that moves nothing would recompute
+    all of them bit for bit, since the bases and centroids are read off
+    the unchanged class statistics; it builds only the k x n assignment
+    cost for the new weights, k x V*k multiply-adds per sample.
     Each iteration after the first drops the start's held cost before it
     builds its own, so a fit holds one k x n cost at a time.
 
@@ -560,7 +541,6 @@ def fit(ds: MultiViewDataset, cfg: SolverConfig) -> FitResult:
             prep.buffers = None   # so a fit holds one k x n cost at a time
             if refitted:
                 update_basis(state, prob.xs, stats)
-                update_centroids(state, prob.xs, stats)
             buffers = make_buffers(state, prob.xs, prob.label_counts, stats)
         previous_y = state.y.copy()
         update_labels_known(state, buffers, prob.labeled, prob.truth_rows,

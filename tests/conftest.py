@@ -1,10 +1,12 @@
 """Shared helpers: random problem instances, a naive objective recomputation
 that shares nothing with the solver's fast paths, the objective's lower
-bound, a structural check on solver states, fit replayed block by block
-through the public functions, the concatenated k-means baseline, an
-in-process CLI driver and a traced allocation peak."""
+bound, a structural check on solver states, a check of the basis update
+against the joint minimum, fit replayed block by block through the public
+functions, the concatenated k-means baseline, an in-process CLI driver and
+a traced allocation peak."""
 
 import contextlib
+import copy
 import dataclasses
 import io
 import tracemalloc
@@ -21,6 +23,7 @@ from mvncd.dataset import (
     SyntheticSpec,
 )
 from mvncd.solver import (
+    RIDGE,
     FitResult,
     compute_residuals,
     initialize,
@@ -32,6 +35,7 @@ from mvncd.solver import (
     update_labels_novel,
     update_view_weights,
 )
+from oracle import literal_class_sums, procrustes_pair, reconstruction_errors
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures" / "separable"
 
@@ -115,6 +119,28 @@ def validate_state(state, atol_basis=1e-8, atol_simplex=1e-10):
     w = state.view_weights
     if w.min() < 0 or abs(float(w.sum()) - 1.0) > atol_simplex:
         raise ValueError("view weights are not on the simplex")
+
+
+def assert_joint_minimum(prior, xs):
+    """Run update_basis on a copy of ``prior`` and hold the result to the
+    joint minimum of both blocks: orthonormal bases, basis @ centroids
+    equal to the literal class sums over counts + RIDGE, and a
+    reconstruction error no larger than after the polar-factor basis and
+    its least-squares centroids. Returns the updated copy."""
+    state = copy.deepcopy(prior)
+    update_basis(state, xs)
+    k = prior.num_classes
+    counts = np.bincount(prior.y, minlength=k)
+    for x, b, c in zip(xs, state.bases, state.centroids):
+        assert np.max(np.abs(b.T @ b - np.eye(k))) <= 1e-12
+        want = literal_class_sums(x, prior.y, k) / (counts + RIDGE)
+        assert np.linalg.norm(b @ c - want) <= 1e-12 * np.linalg.norm(want)
+    pair = procrustes_pair(xs, prior.y, k, prior.centroids, RIDGE)
+    joint = reconstruction_errors(xs, prior.y, state.bases, state.centroids)
+    alone = reconstruction_errors(xs, prior.y, *pair)
+    totals = np.array([np.sum(x * x) for x in xs])
+    assert np.all(joint <= alone + 1e-12 * totals)
+    return state
 
 
 def replay_fit(ds, cfg):

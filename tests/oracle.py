@@ -162,3 +162,80 @@ def procrustes_bound_check(target: np.ndarray, basis: np.ndarray,
         if float(np.trace(q.T @ target)) > attained + atol:
             return False
     return True
+
+
+def literal_class_sums(x: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
+    """The d x k class sums of the d x n view ``x`` under ``y``, added up
+    sample by sample."""
+    sums = np.zeros((x.shape[0], k))
+    for i, row in enumerate(y):
+        sums[:, row] += x[:, i]
+    return sums
+
+
+def reconstruction_errors(xs: list[np.ndarray], y: np.ndarray,
+                          bases: list[np.ndarray],
+                          centroids: list[np.ndarray]) -> np.ndarray:
+    """Per view, sum_i ||x_i - basis @ centroids[:, y_i]||^2, one sample at
+    a time."""
+    errors = np.zeros(len(xs))
+    for v, (x, b, c) in enumerate(zip(xs, bases, centroids)):
+        for i, row in enumerate(y):
+            diff = x[:, i] - b @ c[:, row]
+            errors[v] += float(diff @ diff)
+    return errors
+
+
+def procrustes_pair(xs: list[np.ndarray], y: np.ndarray, k: int,
+                    centroids: list[np.ndarray],
+                    ridge: float) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """A basis update and then a centroid update, each the exact minimizer
+    of its block alone: per view the polar factor of S_v @ C_v.T (the
+    orthogonal-Procrustes maximizer of trace(B.T @ S_v @ C_v.T), from its
+    SVD), then the least-squares centroids B.T @ S_v / (counts + ridge)
+    of that basis. S_v are the literal class sums."""
+    counts = np.bincount(y, minlength=k).astype(float)
+    bases, fitted = [], []
+    for x, c in zip(xs, centroids):
+        sums = literal_class_sums(x, y, k)
+        u, _, vt = np.linalg.svd(sums @ np.asarray(c).T, full_matrices=False)
+        bases.append(u @ vt)
+        fitted.append(bases[-1].T @ sums / (counts + ridge))
+    return bases, fitted
+
+
+def all_assignments(n: int, k: int) -> np.ndarray:
+    """Every y in [0, k)^n, one per row, in lexicographic order."""
+    return np.indices((k,) * n).reshape(n, -1).T
+
+
+def class_mean_objective(xs: list[np.ndarray], ys: np.ndarray, k: int,
+                         labeled: np.ndarray, truth_rows: np.ndarray,
+                         unlabeled: np.ndarray, lambda1: float,
+                         lambda2: float) -> np.ndarray:
+    """J*(y), the least objective over bases, centroids and view weights,
+    for each assignment y in the rows of ``ys``.
+
+    Given y, basis @ centroids can be any d_v x k matrix, so the
+    reconstruction error is least at the literal per-class means, where it
+    is the within-class scatter W_v, summed sample by sample. The least
+    sum_v w_v^2 W_v over the simplex is 1 / sum_v (1 / W_v), or 0 when a
+    view has W_v = 0 and takes all the weight. The supervision and
+    separation terms are summed over the labeled samples and over the
+    labeled x unlabeled pairs of one-hot columns.
+    """
+    ys = np.atleast_2d(ys)
+    members = ys[:, None, :] == np.arange(k)[None, :, None]   # A x k x n
+    counts = members.sum(axis=2)
+    scatter = []
+    for x in xs:
+        means = (members @ x.T) / np.maximum(counts, 1)[:, :, None]   # A x k x d
+        diff = x.T[None] - np.take_along_axis(means, ys[:, :, None], axis=1)
+        scatter.append(np.einsum("anj,anj->a", diff, diff))
+    scatter = np.stack(scatter, axis=1)
+    spread = (scatter > 0).all(axis=1)
+    recon = np.zeros(len(ys))
+    recon[spread] = 1.0 / (1.0 / scatter[spread]).sum(axis=1)
+    mismatches = (ys[:, labeled] != truth_rows).sum(axis=1)
+    apart = (ys[:, unlabeled][:, :, None] != truth_rows[None, None, :]).sum(axis=(1, 2))
+    return recon + 2.0 * lambda1 * mismatches - 2.0 * lambda2 * apart

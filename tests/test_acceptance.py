@@ -17,6 +17,7 @@ import pytest
 
 from conftest import (
     FIXTURE_DIR,
+    assert_joint_minimum,
     concat_kmeans_ncd,
     objective_lower_bound,
     replay_fit,
@@ -42,7 +43,6 @@ from mvncd.solver import (
     fit,
     is_monotone,
     make_buffers,
-    update_basis,
     update_labels_known,
     update_labels_novel,
     update_view_weights,
@@ -220,16 +220,11 @@ def test_criterion_3_block_oracle_equivalence():
         numeric = simplex_minimize_numeric(residuals)
         assert np.max(np.abs(state.view_weights - numeric)) < 1e-6
 
-    for i in range(200):  # basis update attains the spectral bound
-        d = int(rng.integers(2, 10))
-        k = int(rng.integers(2, d + 1))
-        target = rng.standard_normal((d, k))
-        state = ModelState(bases=[np.eye(d)[:, :k]], centroids=[np.eye(k)],
-                           y=np.arange(k), view_weights=np.ones(1))
-        update_basis(state, [target])
-        attained = float(np.trace(state.bases[0].T @ target))
-        sigma = float(np.linalg.svd(target, compute_uv=False).sum())
-        assert abs(attained - sigma) < 1e-8
+    for i in range(200):  # basis update attains the joint minimum
+        state, xs, k, n = _tiny_problem(rng)
+        if i % 3 == 0:
+            state.y = rng.integers(0, k - 1, size=n)  # row k - 1 stays empty
+        assert_joint_minimum(state, xs)
 
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0

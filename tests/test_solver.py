@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     FIXTURE_DIR,
+    assert_joint_minimum,
     naive_objective,
     objective_lower_bound,
     random_dataset,
@@ -281,12 +282,10 @@ def test_basis_identity_and_diagonal_targets():
 def test_basis_permutation_target():
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     state = manual_state([np.eye(2)], [np.eye(2)], [0, 1], [1.0])
-    update_basis(state, [swap])
-    assert np.allclose(state.bases[0], swap, atol=1e-12)
-    assert np.trace(state.bases[0].T @ swap) == pytest.approx(2.0)
+    assert_joint_minimum(state, [swap])
 
 
-def test_basis_attains_singular_value_sum():
+def test_basis_attains_the_joint_minimum_on_random_targets():
     rng = np.random.default_rng(12)
     for _ in range(30):
         d = int(rng.integers(3, 9))
@@ -294,11 +293,7 @@ def test_basis_attains_singular_value_sum():
         target = rng.standard_normal((d, k))
         state = manual_state([np.eye(d)[:, :k]], [np.eye(k)],
                              np.arange(k), [1.0])
-        update_basis(state, [target])  # B reduces to the raw target again
-        attained = float(np.trace(state.bases[0].T @ target))
-        sigma = np.linalg.svd(target, compute_uv=False).sum()
-        assert attained == pytest.approx(sigma, abs=1e-8)
-        validate_state(state)
+        validate_state(assert_joint_minimum(state, [target]))
 
 
 # --- the class frame ---
@@ -323,7 +318,7 @@ def test_frame_scores_and_norms_match_the_views(k, extra_dims, n, data_seed):
     update_centroids(state, xs, stats)
     update_basis(state, xs, stats)
     update_centroids(state, xs, stats)
-    q = stats.frames[0]
+    q = stats.frames
     for v, basis in enumerate(state.bases):
         frame = q[v]
         assert np.linalg.norm(basis - frame @ (frame.T @ basis)) <= 1e-12
