@@ -81,9 +81,8 @@ class SolverConfig:
 @dataclass(eq=False)
 class ModelState:
     """Current iterate: a list of per-view orthonormal bases (d_v x k),
-    per-view centroids (k x k), one assignment row per sample, and view
-    weights on the simplex. The block updates store the centroids as one
-    V x k x k array; a list of k x k arrays is read the same way."""
+    a list of per-view centroids (k x k), one assignment row per sample,
+    and view weights on the simplex."""
 
     bases: list[np.ndarray]
     centroids: list[np.ndarray]
@@ -110,9 +109,7 @@ class ClassStats:
     sums as ||X_v||_F^2 - sum_c ||S_c||^2 / n_c, one pass over the view,
     unless that falls below ``_SCATTER_IDENTITY_MIN`` times ||X_v||_F^2,
     where the difference cancels and a blocked pass over the samples gives
-    it instead. ``z`` holds the views in their class frames, rows v*k to
-    (v+1)*k being Z_v = Q_v.T @ X_v, so it is (V*k) x n; the basis Q_v
-    scores every sample through it.
+    it instead.
     """
 
     counts: np.ndarray
@@ -120,7 +117,6 @@ class ClassStats:
     frames: list[np.ndarray]
     means: list[np.ndarray]
     scatter: np.ndarray
-    z: np.ndarray
 
 
 @dataclass(eq=False)
@@ -129,16 +125,19 @@ class WorkBuffers:
     reconstruction error.
 
     ``xs`` are the views and ``maps[v]`` is basis @ centroids for view v, so
-    view v reconstructs sample i as ``maps[v][:, y[i]]``. ``cost`` is the
-    k x n assignment cost, sum_v w_v^2 (||x_{v,i} - maps[v][:, c]||^2 -
-    ||x_{v,i}||^2) at row c and column i: what putting sample i on row c
-    adds to the weighted reconstruction error, up to a per-sample constant.
-    Both label updates gather their columns of it. ``label_counts`` counts
-    ground-truth labeled samples per one-hot row (zero on novel rows).
+    view v reconstructs sample i as ``maps[v][:, y[i]]``. ``products``
+    stacks maps[v].T @ xs[v] over the views, V x k x n; it depends on the
+    maps, not on the view weights. ``cost`` is the k x n assignment cost,
+    sum_v w_v^2 (||x_{v,i} - maps[v][:, c]||^2 - ||x_{v,i}||^2) at row c
+    and column i: what putting sample i on row c adds to the weighted
+    reconstruction error, up to a per-sample constant. Both label updates
+    gather their columns of it. ``label_counts`` counts ground-truth
+    labeled samples per one-hot row (zero on novel rows).
     """
 
     xs: list[np.ndarray]
     maps: list[np.ndarray]
+    products: np.ndarray
     cost: np.ndarray
     label_counts: np.ndarray
 
@@ -212,26 +211,28 @@ def _build_problem(ds: MultiViewDataset, normalize: str,
 @dataclass(eq=False)
 class _Preparation:
     """What :func:`fit` reads of its start before the lambdas act: the
-    problem, the start iterate, its assignment's class statistics and its
-    per-view residuals. ``buffers`` are the start's :class:`WorkBuffers`,
-    whose cost is read-only; the first fit that scores the start builds
-    them, and a fit that reaches a second iteration drops them."""
+    problem, the start iterate, its assignment's class statistics, its
+    per-view residuals and the products of its maps with the views.
+    ``buffers`` are the start's read-only :class:`WorkBuffers`; a fit that
+    reaches a second iteration drops them, and the next fit rebuilds them
+    by reweighting ``products``."""
 
     prob: _Problem
     state: ModelState
     stats: ClassStats
     residuals: np.ndarray
-    buffers: WorkBuffers | None = None
+    products: np.ndarray
+    buffers: WorkBuffers | None
 
 
 @functools.lru_cache(maxsize=1)
 def _prepare(ds: MultiViewDataset, normalize: str, ablate_labeled: bool,
              seed: int, init_y_novel: str) -> _Preparation:
     """The iteration-0 state of every fit of ``ds`` under these settings:
-    the start iterate, its class statistics and its read-only residuals,
-    from which :func:`fit` enters its loop. None of it depends on the
-    lambdas, so the last is cached (it holds ``ds``, which hashes by
-    identity) and a sweep prepares once. Callers mutate only its
+    the start iterate, its class statistics, and its read-only residuals
+    and buffers, from which :func:`fit` enters its loop. None of it
+    depends on the lambdas, so the last is cached (it holds ``ds``, which
+    hashes by identity) and a sweep prepares once. Callers mutate only its
     ``buffers`` slot; :func:`fit` and :func:`initialize` copy the state.
     Its bases and centroids are the joint minimum of its assignment, set
     by :func:`update_basis`, so an iteration that keeps the start's
@@ -242,9 +243,11 @@ def _prepare(ds: MultiViewDataset, normalize: str, ablate_labeled: bool,
     start = ModelState(bases=None, centroids=None, y=y,
                        view_weights=np.full(len(prob.xs), 1.0 / len(prob.xs)))
     update_basis(start, prob.xs, stats)
-    residuals = _residuals(stats, _maps(start))
-    residuals.flags.writeable = False
-    return _Preparation(prob, start, stats, residuals)
+    buffers = make_buffers(start, prob.xs, prob.label_counts)
+    residuals = _residuals(stats, buffers.maps)
+    for array in (residuals, buffers.products, buffers.cost):
+        array.flags.writeable = False
+    return _Preparation(prob, start, stats, residuals, buffers.products, buffers)
 
 
 def initialize(ds: MultiViewDataset, cfg: SolverConfig) -> ModelState:
@@ -304,7 +307,6 @@ def class_stats(xs: list[np.ndarray], y: np.ndarray, k: int,
              for s in sums]
     frames = [np.linalg.qr(s)[0] for s in sums]
     scatter = np.empty(len(xs))
-    z = np.empty((len(xs) * k, y.size))
     for v, x in enumerate(xs):
         # W_v = T_v - sum_c S_c . mean_c, an empty row's mean being 0; the
         # blocked pass where that cancels or T_v overflows (under "none")
@@ -312,9 +314,8 @@ def class_stats(xs: list[np.ndarray], y: np.ndarray, k: int,
         scatter[v] = total - float(np.einsum("ij,ij->", sums[v], means[v]))
         if not _SCATTER_IDENTITY_MIN * total <= scatter[v] < math.inf:
             scatter[v] = _within_scatter(x, y, means[v])
-        np.matmul(frames[v].T, x, out=z[v * k:(v + 1) * k])
     return ClassStats(counts=counts, sums=sums, frames=frames, means=means,
-                      scatter=scatter, z=z)
+                      scatter=scatter)
 
 
 def _within_scatter(x: np.ndarray, y: np.ndarray, means: np.ndarray) -> float:
@@ -357,41 +358,33 @@ def update_centroids(state: ModelState, xs: list[np.ndarray],
     """
     if stats is None:
         stats = class_stats(xs, state.y, state.num_classes)
-    state.centroids = np.stack([b.T @ s for b, s in zip(state.bases, stats.sums)]) * (
-        1.0 / (stats.counts + RIDGE))
+    scale = 1.0 / (stats.counts + RIDGE)
+    state.centroids = [(b.T @ s) * scale for b, s in zip(state.bases, stats.sums)]
 
 
 def make_buffers(state: ModelState, xs: list[np.ndarray],
                  label_counts: np.ndarray,
-                 stats: ClassStats | None = None) -> WorkBuffers:
+                 products: np.ndarray | None = None) -> WorkBuffers:
     """Assemble the shared per-iteration quantities for the current bases,
     centroids and view weights; they stay valid while only ``y`` changes.
-    The cost is formed once, in place, as diag - 2 * score: the weighted
-    squared column norms of the maps less twice their inner products with
-    the data.
+    The cost is the weighted squared column norms of the maps less twice
+    the w^2-weighted sum of the products maps[v].T @ xs[v], formed in one
+    pass over the products.
 
-    With ``stats``, the class statistics of ``state.y``, every basis is
-    Q_v, as :func:`update_basis` sets it, and the maps are scored in the
-    class frames: (Q_v C_v).T @ X_v = C_v.T @ Z_v and the column norms are
-    those of C_v, so one (k x V*k) @ (V*k x n) product replaces a k x d_v
-    by d_v x n product per view.
-    Without ``stats`` the maps are scored against ``xs`` directly, which
-    holds for any basis: that path is the reference the tests hold the
-    frame to, and the one a caller without class statistics takes.
+    ``products`` are those of earlier buffers whose maps equal these,
+    which the cost then only reweights; without them they are computed
+    from ``xs``, one k x d_v by d_v x n product per view.
     """
     w2 = state.view_weights**2
     maps = _maps(state)
-    if stats is None:
-        diag = sum(w2[v] * np.einsum("ij,ij->j", m, m) for v, m in enumerate(maps))
-        score = sum(w2[v] * (m.T @ xs[v]) for v, m in enumerate(maps))
-    else:
-        framed = np.asarray(state.centroids)   # Q_v.T @ maps[v]
-        weighted = (w2[:, None, None] * framed).reshape(-1, framed.shape[2])
-        diag = np.einsum("ij,ij->j", weighted, framed.reshape(weighted.shape))
-        score = weighted.T @ stats.z
-    score *= -2.0
-    score += diag[:, None]
-    return WorkBuffers(xs=xs, maps=maps, cost=score,
+    if products is None:
+        products = np.empty((len(maps), maps[0].shape[1], xs[0].shape[1]))
+        for v, m in enumerate(maps):
+            np.matmul(m.T, xs[v], out=products[v])
+    diag = sum(w2[v] * np.einsum("ij,ij->j", m, m) for v, m in enumerate(maps))
+    cost = np.tensordot(-2.0 * w2, products, 1)
+    cost += diag[:, None]
+    return WorkBuffers(xs=xs, maps=maps, products=products, cost=cost,
                        label_counts=np.asarray(label_counts, dtype=float))
 
 
@@ -504,16 +497,17 @@ def fit(ds: MultiViewDataset, cfg: SolverConfig) -> FitResult:
     A block is recomputed only when the last label update moved what it
     reads. The loop enters from the preparation's iteration-0 state: the
     start iterate, its class statistics and residuals, and its read-only
-    assignment cost, which the first fit that needs it builds. A move of
-    the assignment rebuilds the class statistics, the one read of the
-    views, and the residuals; the next iteration then sets the bases and
-    centroids from them (:func:`update_basis`), whose new maps need the
-    residuals once more. An iteration that moves nothing would recompute
-    all of them bit for bit, since the bases and centroids are read off
-    the unchanged class statistics; it builds only the k x n assignment
-    cost for the new weights, k x V*k multiply-adds per sample.
-    Each iteration after the first drops the start's held cost before it
-    builds its own, so a fit holds one k x n cost at a time.
+    buffers, whose cost the first fit after a drop rebuilds from the held
+    products. A move of the assignment rebuilds the class statistics and
+    the residuals; the next iteration then sets the bases and centroids
+    from them (:func:`update_basis`), whose new maps need their products
+    with the views and the residuals once more. An iteration that moves
+    nothing would recompute all of them bit for bit, since the bases and
+    centroids are read off the unchanged class statistics; it passes the
+    last products to :func:`make_buffers`, which only reweights them for
+    the new view weights, V x k multiply-adds per sample.
+    Each iteration after the first drops the start's held buffers before
+    it builds its own, so a fit holds one k x n cost at a time.
 
     ``ds`` and its arrays are treated as immutable, since the last
     preparation is reused for the same ``ds``. After changing data in
@@ -528,9 +522,10 @@ def fit(ds: MultiViewDataset, cfg: SolverConfig) -> FitResult:
 
     trace = [_objective(state, prob, cfg, residuals)]
     alphas = [state.view_weights.copy()]
+    products = prep.products
     buffers = prep.buffers   # read once: another fit may drop the held one
     if buffers is None:
-        buffers = make_buffers(prep.state, prob.xs, prob.label_counts, stats)
+        buffers = make_buffers(prep.state, prob.xs, prob.label_counts, products)
         buffers.cost.flags.writeable = False
         prep.buffers = buffers
     converged = moved = False
@@ -541,7 +536,9 @@ def fit(ds: MultiViewDataset, cfg: SolverConfig) -> FitResult:
             prep.buffers = None   # so a fit holds one k x n cost at a time
             if refitted:
                 update_basis(state, prob.xs, stats)
-            buffers = make_buffers(state, prob.xs, prob.label_counts, stats)
+                products = None   # the maps moved
+            buffers = make_buffers(state, prob.xs, prob.label_counts, products)
+            products = buffers.products
         previous_y = state.y.copy()
         update_labels_known(state, buffers, prob.labeled, prob.truth_rows,
                             cfg.lambda1)

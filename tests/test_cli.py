@@ -869,7 +869,7 @@ def test_sweep_refuses_repeated_grid_value(tmp_path):
 
 def test_sweep_prepares_once(tmp_path, monkeypatch):
     # the fixture's labels do not move from the start, so the one class
-    # statistics pass, with its frame product, is the preparation's
+    # statistics pass is the preparation's
     calls, stats_calls = [], []
     real = solver._initial_assignment
     monkeypatch.setattr(solver, "_initial_assignment",

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import gc
 import math
@@ -298,6 +299,16 @@ def test_basis_attains_the_joint_minimum_on_random_targets():
 
 # --- the class frame ---
 
+def _literal_cost(state, xs):
+    """cost[c, i] = sum_v w_v^2 (||x_{v,i} - m_{v,c}||^2 - ||x_{v,i}||^2)"""
+    want = 0.0
+    for v, x in enumerate(xs):
+        maps = state.bases[v] @ state.centroids[v]
+        dist = ((x[:, None, :] - maps[:, :, None]) ** 2).sum(axis=0)
+        want += state.view_weights[v] ** 2 * (dist - (x**2).sum(axis=0))
+    return want
+
+
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(k=st.integers(2, 6), extra_dims=st.lists(st.integers(0, 7), min_size=1,
                                                  max_size=3),
@@ -322,9 +333,9 @@ def test_frame_scores_and_norms_match_the_views(k, extra_dims, n, data_seed):
     for v, basis in enumerate(state.bases):
         frame = q[v]
         assert np.linalg.norm(basis - frame @ (frame.T @ basis)) <= 1e-12
-    framed = make_buffers(state, xs, np.zeros(k), stats).cost
-    direct = make_buffers(state, xs, np.zeros(k)).cost
-    assert np.max(np.abs(framed - direct)) <= 1e-12 * np.max(np.abs(direct))
+    want = _literal_cost(state, xs)
+    got = make_buffers(state, xs, np.zeros(k)).cost
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     # the basis now is the block minimum of its own centroids: the next
     # update keeps it, and it attains the Procrustes bound
     kept = [basis.copy() for basis in state.bases]
@@ -338,8 +349,7 @@ def test_frame_scores_and_norms_match_the_views(k, extra_dims, n, data_seed):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_cost_is_the_weighted_distance_less_the_sample_norm(seed):
-    # d-space path, uneven dims, an empty class and skewed weights:
-    # cost[c, i] = sum_v w_v^2 (||x_{v,i} - m_{v,c}||^2 - ||x_{v,i}||^2)
+    # uneven dims, an empty class and skewed weights
     rng = np.random.default_rng(seed)
     k, n, dims = 4, 30, (4, 7, 11)
     xs = [rng.standard_normal((d, n)) for d in dims]
@@ -350,11 +360,7 @@ def test_cost_is_the_weighted_distance_less_the_sample_norm(seed):
                          rng.integers(0, k - 1, size=n),  # row k - 1 stays empty
                          weights / weights.sum())
     update_centroids(state, xs)
-    want = np.zeros((k, n))
-    for v, x in enumerate(xs):
-        maps = state.bases[v] @ state.centroids[v]
-        dist = ((x[:, None, :] - maps[:, :, None]) ** 2).sum(axis=0)
-        want += state.view_weights[v] ** 2 * (dist - (x**2).sum(axis=0))
+    want = _literal_cost(state, xs)
     got = make_buffers(state, xs, np.zeros(k)).cost
     assert got.shape == (k, n)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -438,7 +444,7 @@ def test_fit_passes_the_squared_norms_summed_once(monkeypatch):
     def spy(xs, y, k, *totals):
         calls.append(totals)
         given, computed = real(xs, y, k, *totals), real(xs, y, k)
-        for field in ("counts", "scatter", "z"):
+        for field in ("counts", "scatter"):
             assert getattr(given, field).tobytes() == getattr(computed, field).tobytes()
         for field in ("sums", "means"):
             assert [m.tobytes() for m in getattr(given, field)] == \
@@ -933,6 +939,49 @@ def test_the_held_start_cost_and_residuals_are_read_only():
         prep.buffers.cost[0, 0] = 0.0
     with pytest.raises(ValueError, match="read-only"):
         prep.residuals[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        prep.products[0, 0, 0] = 0.0
+
+
+@pytest.mark.parametrize("init_y_novel", INIT_MODES)
+@pytest.mark.parametrize("ablate_labeled", [False, True])
+@pytest.mark.parametrize("seed", range(3))
+def test_the_held_start_cost_is_the_one_make_buffers_builds(seed, ablate_labeled,
+                                                            init_y_novel):
+    # as prepared, and after a fit that iterates drops it and the next fit
+    # rebuilds it by reweighting the held products
+    ds = _overlapping_blobs(seed=5 + seed)
+    once = SolverConfig(seed=seed, max_iter=1, ablate_labeled=ablate_labeled,
+                        init_y_novel=init_y_novel)
+    solver._prepare.cache_clear()
+    prep = _held_start(ds, once)
+    prob = prep.prob
+    want = make_buffers(copy.deepcopy(prep.state), prob.xs, prob.label_counts).cost
+    assert prep.buffers.cost.tobytes() == want.tobytes()
+    fit(ds, dataclasses.replace(once, tol=0.0, max_iter=2))
+    assert prep.buffers is None
+    fit(ds, once)
+    assert prep.buffers.cost.tobytes() == want.tobytes()
+
+
+def test_a_fit_whose_labels_stay_computes_the_products_once(monkeypatch):
+    # the k-means start keeps the fixture's labels, so every iteration
+    # reweights the products the preparation computed
+    ds = load_dataset(FIXTURE_DIR)
+    cfg = SolverConfig(tol=0.0, max_iter=5)
+    computed = []
+    real = solver.make_buffers
+
+    def spy(state, xs, label_counts, products=None):
+        computed.append(products is None)
+        return real(state, xs, label_counts, products)
+    monkeypatch.setattr(solver, "make_buffers", spy)
+    solver._prepare.cache_clear()
+    start = _held_start(ds, cfg).state.y.copy()
+    assert computed == [True]
+    result = fit(ds, cfg)
+    assert result.iterations == 5 and np.array_equal(result.state.y, start)
+    assert computed == [True] + [False] * 4
 
 
 def test_objective_value_keeps_no_dataset_alive():
@@ -1000,23 +1049,24 @@ def test_public_blocks_replay_fit_bit_for_bit_while_labels_move():
         _assert_same_fit(replayed, fit(ds, cfg))
 
 
-def test_fit_moves_labels_in_the_frame_as_in_the_views(monkeypatch):
-    # a random start, so labels move and the frame is rebuilt mid-fit; the
-    # reference fit scores every sample against the views themselves
+def test_fit_that_reweights_products_moves_labels_as_one_that_recomputes_them(
+        monkeypatch):
+    # a random start, so labels move and the maps are refitted mid-fit; the
+    # reference fit computes every iteration's products from the views
     for seed in (0, 1):
         ds = _overlapping_blobs(seed=5 + seed)
         cfg = SolverConfig(init_y_novel="random", seed=seed, max_iter=40)
-        framed = _fresh_fit(ds, cfg)
+        reweighted = _fresh_fit(ds, cfg)
         start = initialize(ds, cfg).y[ds.unlabeled_indices]
-        assert not np.array_equal(start, framed.novel_assignment)
+        assert not np.array_equal(start, reweighted.novel_assignment)
         real = solver.make_buffers
         with monkeypatch.context() as patch:
             patch.setattr(solver, "make_buffers",
-                          lambda state, xs, counts, stats=None:
+                          lambda state, xs, counts, products=None:
                           real(state, xs, counts))
             direct = _fresh_fit(ds, cfg)
-        assert framed.iterations == direct.iterations
-        assert np.array_equal(framed.novel_assignment, direct.novel_assignment)
+        assert reweighted.iterations == direct.iterations
+        assert np.array_equal(reweighted.novel_assignment, direct.novel_assignment)
 
 
 def test_fit_ablate_alpha_keeps_uniform_weights():
